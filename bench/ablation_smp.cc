@@ -16,6 +16,9 @@
  *                  spawning the workers once);
  *   warm s/tour  — subsequent tours on the parked pool;
  *   speedup      — cold / warm per-tour time;
+ *   serial s/tour — run() (no pool at all) on the same fork set;
+ *   pool vs serial — serial / warm per-tour time: above 1x the pool
+ *                  pays off at that width, below 1x it costs;
  *   steals       — bins claimed across segments (warm run).
  *
  * Pool setup is deliberately separated from tour time: setup is paid
@@ -111,7 +114,8 @@ main(int argc, char **argv)
     };
 
     TextTable table("", {"workers", "cold s/tour", "warm setup s",
-                         "warm s/tour", "speedup", "steals"});
+                         "warm s/tour", "speedup", "serial s/tour",
+                         "pool vs serial", "steals"});
 
     for (unsigned w = 1; w <= max_workers; w *= 2) {
         // Cold: a throwaway pool per tour (spawn + join every run).
@@ -135,10 +139,19 @@ main(int argc, char **argv)
             warm.runParallel(w, /*keep=*/true);
         const double warmPerTour = warmTimer.seconds() / tours;
 
+        // Serial: the same scheduler and fork set, toured by run() on
+        // the caller alone.
+        WallTimer serialTimer;
+        for (int t = 0; t < tours; ++t)
+            warm.run(/*keep=*/true);
+        const double serialPerTour = serialTimer.seconds() / tours;
+
         table.addRow(
             {TextTable::count(w), TextTable::num(coldPerTour, 6),
              TextTable::num(setup, 6), TextTable::num(warmPerTour, 6),
              TextTable::num(coldPerTour / warmPerTour, 2) + "x",
+             TextTable::num(serialPerTour, 6),
+             TextTable::num(serialPerTour / warmPerTour, 2) + "x",
              TextTable::count(warm.workerPoolStats().steals)});
         std::printf("  %u workers done\n", w);
     }
@@ -147,6 +160,8 @@ main(int argc, char **argv)
     std::printf("expected: warm s/tour beats cold s/tour once workers "
                 "> 1 — repeat tours on the parked pool pay no thread "
                 "creation; setup is a one-time cost\n");
+    std::printf("pool vs serial > 1x means the pool beats run() on the "
+                "same fork set at that width\n");
 
     const std::string jsonPath = cli.getString("json");
     if (!jsonPath.empty()) {

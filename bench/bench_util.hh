@@ -8,10 +8,12 @@
 #ifndef LSCHED_BENCH_BENCH_UTIL_HH
 #define LSCHED_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "machine/machine_config.hh"
 #include "obs/trace.hh"
@@ -45,6 +47,18 @@ machineFromCli(const Cli &cli)
         cli.getFlag("full") ? 1u
                             : static_cast<unsigned>(cli.getInt("scale"));
     return machine::scaled(m, scale);
+}
+
+/** Median of @p samples (0 when empty). */
+inline double
+medianOf(std::vector<double> samples)
+{
+    if (samples.empty())
+        return 0;
+    std::sort(samples.begin(), samples.end());
+    const std::size_t mid = samples.size() / 2;
+    return samples.size() % 2 ? samples[mid]
+                              : (samples[mid - 1] + samples[mid]) / 2;
 }
 
 /** Register the options machineFromCli() consumes. */

@@ -11,14 +11,14 @@
  * the tasks are still binned by address hints so cache locality is
  * preserved around the suspensions.
  *
- * Run:  ./examples/fiber_pipeline [n_blocks] [block_elems]
+ * Run:  ./examples/fiber_pipeline [--blocks=64] [--block-elems=16384]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "fibers/general_scheduler.hh"
+#include "support/cli.hh"
 #include "support/prng.hh"
 #include "support/timer.hh"
 #include "threads/hints.hh"
@@ -89,12 +89,22 @@ updateTask(void *arg)
 int
 main(int argc, char **argv)
 {
-    const std::size_t n_blocks =
-        argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 64;
-    const std::size_t block_elems =
-        argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2]))
-                 : 16384;
+    Cli cli("fiber_pipeline",
+            "pivot/update dependencies on fibers, binned by address "
+            "hints");
     const std::size_t chunks = 8;
+    cli.addInt("blocks", 64, "blocks in the pipeline", 1);
+    cli.addInt("block-elems", 16384,
+               "doubles per block (a multiple of 8, one share per "
+               "update chunk)",
+               chunks);
+    cli.parse(argc, argv);
+
+    const auto n_blocks = static_cast<std::size_t>(cli.getInt("blocks"));
+    const auto block_elems =
+        static_cast<std::size_t>(cli.getInt("block-elems"));
+    if (block_elems % chunks != 0)
+        cli.usageError("--block-elems must be a multiple of 8");
 
     Pipeline p;
     p.nBlocks = n_blocks;

@@ -8,15 +8,16 @@
  * sweeps the block size to show the Figure-4 cliff. This is the
  * programmatic (C++) API: LocalityScheduler, SimModel, Hierarchy.
  *
- * Run:  ./examples/matmul_locality [n] [scale]
+ * Run:  ./examples/matmul_locality [--n=128] [--scale=64]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "machine/machine_config.hh"
+#include "support/align.hh"
+#include "support/cli.hh"
 #include "workloads/matmul.hh"
 
 int
@@ -25,10 +26,19 @@ main(int argc, char **argv)
     using namespace lsched;
     using namespace lsched::workloads;
 
-    const std::size_t n =
-        argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 128;
-    const unsigned scale =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 64;
+    Cli cli("matmul_locality",
+            "untiled vs threaded matmul L2 misses on the simulated "
+            "R8000, plus the block-size sweep");
+    cli.addInt("n", 128, "matrix dimension", 1);
+    cli.addInt("scale", 64, "cache shrink factor (power of two)", 1);
+    cli.parse(argc, argv);
+
+    const auto n = static_cast<std::size_t>(cli.getInt("n"));
+    const std::int64_t scaleArg = cli.getInt("scale");
+    if (!isPowerOfTwo(static_cast<std::uint64_t>(scaleArg)) ||
+        scaleArg > (std::int64_t{1} << 31))
+        cli.usageError("--scale must be a power of two up to 2^31");
+    const auto scale = static_cast<unsigned>(scaleArg);
 
     const auto machine =
         machine::scaled(machine::powerIndigo2R8000(), scale);

@@ -6,13 +6,14 @@
  * says the relaxation kernel "is meant to be nested inside a
  * multigrid partial differential equation solver").
  *
- * Run:  ./examples/multigrid_solver [n] [cycles]
- *       (n must be 2^k - 1; default 255)
+ * Run:  ./examples/multigrid_solver [--n=255] [--cycles=10]
+ *       (n must be 2^k - 1)
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "support/align.hh"
+#include "support/cli.hh"
 #include "support/prng.hh"
 #include "support/timer.hh"
 #include "workloads/multigrid.hh"
@@ -23,10 +24,17 @@ main(int argc, char **argv)
     using namespace lsched;
     using namespace lsched::workloads;
 
-    const std::size_t n =
-        argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 255;
-    const unsigned cycles =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 10;
+    Cli cli("multigrid_solver",
+            "multigrid Poisson solver with a locality-scheduled "
+            "red-black smoother");
+    cli.addInt("n", 255, "grid points per side (2^k - 1)", 1);
+    cli.addInt("cycles", 10, "V-cycles", 1);
+    cli.parse(argc, argv);
+
+    const auto n = static_cast<std::size_t>(cli.getInt("n"));
+    if (!isPowerOfTwo(n + 1))
+        cli.usageError("--n must be 2^k - 1 (3, 7, 15, ..., 255, ...)");
+    const auto cycles = static_cast<unsigned>(cli.getInt("cycles"));
 
     MultigridConfig cfg;
     cfg.threaded = true; // locality-scheduled smoothing threads

@@ -6,12 +6,12 @@
  * scheduling statistics. No compile-time reference information exists
  * here — the case where the paper argues runtime scheduling shines.
  *
- * Run:  ./examples/nbody_sim [bodies] [steps]
+ * Run:  ./examples/nbody_sim [--bodies=16384] [--steps=4]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "support/cli.hh"
 #include "support/timer.hh"
 #include "threads/scheduler.hh"
 #include "workloads/nbody.hh"
@@ -22,11 +22,15 @@ main(int argc, char **argv)
     using namespace lsched;
     using namespace lsched::workloads;
 
+    Cli cli("nbody_sim",
+            "Barnes-Hut N-body with locality-scheduled force threads");
+    cli.addInt("bodies", 16384, "bodies in the Plummer sphere", 1);
+    cli.addInt("steps", 4, "time steps", 1);
+    cli.parse(argc, argv);
+
     NBodyConfig cfg;
-    cfg.bodies =
-        argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 16384;
-    const unsigned steps =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
+    cfg.bodies = static_cast<std::size_t>(cli.getInt("bodies"));
+    const auto steps = static_cast<unsigned>(cli.getInt("steps"));
 
     std::printf("nbody_sim: %zu bodies (Plummer sphere), theta = %.2f, "
                 "%u steps\n\n",

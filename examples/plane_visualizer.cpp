@@ -9,15 +9,16 @@
  * paper's Figure 2) and for N-body (clustered occupancy mirroring the
  * spatial body distribution, Section 4.4).
  *
- * Run:  ./examples/plane_visualizer [matmul|nbody] [n_or_bodies]
+ * Run:  ./examples/plane_visualizer [--mode=matmul|nbody] [--n=256]
+ *                                   [--bodies=16384]
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "support/cli.hh"
 #include "threads/scheduler.hh"
 #include "workloads/matmul.hh"
 #include "workloads/nbody.hh"
@@ -79,15 +80,25 @@ render(const PlaneCounts &plane, const char *xlabel, const char *ylabel)
 int
 main(int argc, char **argv)
 {
-    const char *mode = argc > 1 ? argv[1] : "matmul";
+    Cli cli("plane_visualizer",
+            "ASCII heat map of the scheduling plane (paper Figures 1 "
+            "and 2)");
+    cli.addString("mode", "matmul", "workload to plot (matmul|nbody)");
+    cli.addInt("n", 256, "matrix dimension (matmul mode)", 1);
+    cli.addInt("bodies", 16384, "Plummer bodies (nbody mode)", 1);
+    cli.parse(argc, argv);
+
+    const std::string &mode = cli.getString("mode");
+    if (mode != "matmul" && mode != "nbody")
+        cli.usageError("--mode must be matmul or nbody, not '" + mode +
+                       "'");
 
     threads::SchedulerConfig cfg;
     PlaneCounts plane;
 
-    if (std::strcmp(mode, "nbody") == 0) {
-        const std::size_t bodies =
-            argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2]))
-                     : 16384;
+    if (mode == "nbody") {
+        const auto bodies =
+            static_cast<std::size_t>(cli.getInt("bodies"));
         NBodyConfig ncfg;
         ncfg.bodies = bodies;
         BarnesHut sim(ncfg);
@@ -130,8 +141,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const std::size_t n =
-        argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 256;
+    const auto n = static_cast<std::size_t>(cli.getInt("n"));
     Matrix a(n, n), b(n, n);
     randomize(a, 1);
     randomize(b, 2);

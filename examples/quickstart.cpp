@@ -56,9 +56,11 @@ main(int argc, char **argv)
     lsched::Cli cli("quickstart",
                     "the paper's th_init/th_fork/th_run interface on "
                     "its matrix-multiply running example");
-    cli.addInt("n", 256, "matrix dimension");
+    cli.addInt("n", 256, "matrix dimension", 1);
     cli.parse(argc, argv);
     const std::size_t n = static_cast<std::size_t>(cli.getInt("n"));
+    if (n > 0xffff) // dotProduct packs (i, j) into 16 bits each
+        cli.usageError("--n must be at most 65535");
 
     Matrix a(n, n), b(n, n), c(n, n), at(n, n);
     lsched::workloads::randomize(a, 1);

@@ -5,9 +5,11 @@
 #   default       full RelWithDebInfo suite (run twice: once as-is,
 #                 once with LSCHED_TOPOLOGY=flat forcing legacy flat
 #                 placement)
-#   tsan          fault + obs + pool suites under ThreadSanitizer
-#   asan          stream + chaos suites under ASan/UBSan (the
-#                 lock-free admission path's reclamation story)
+#   tsan          fault, obs, pool, stream, profile, chaos, adapt,
+#                 topology and reuse suites under ThreadSanitizer
+#   asan          stream + chaos + reuse suites under ASan/UBSan (the
+#                 lock-free admission path's reclamation story and
+#                 batch group recycling)
 #   notrace       full suite with tracing compiled out
 #   nofailpoints  full suite with fail points compiled out
 #

@@ -1,13 +1,15 @@
 /**
  * @file
  * Power-of-two and alignment arithmetic used by the cache simulator and
- * the scheduler's block map.
+ * the scheduler's block map, plus the cache-line prefetch helper the
+ * thread-group storage uses.
  */
 
 #ifndef LSCHED_SUPPORT_ALIGN_HH
 #define LSCHED_SUPPORT_ALIGN_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace lsched
@@ -60,6 +62,31 @@ constexpr std::uint64_t
 alignDown(std::uint64_t v, std::uint64_t align)
 {
     return v & ~(align - 1);
+}
+
+/** Host cache-line size assumed by the prefetch helper below. */
+inline constexpr std::size_t kCacheLineBytes = 64;
+
+/**
+ * Prefetch every cache line overlapping [@p p, @p p + @p bytes): for
+ * writing when @p forWrite (the line arrives ready to be stored to),
+ * for reading otherwise. A pure hint with no architectural effect —
+ * it touches no memory, so it cannot fault and the cache simulator
+ * never sees it.
+ */
+inline void
+prefetchLines(const void *p, std::size_t bytes, bool forWrite)
+{
+    const auto first = reinterpret_cast<std::uintptr_t>(p);
+    const std::uintptr_t end = first + bytes;
+    for (std::uintptr_t line = alignDown(first, kCacheLineBytes);
+         line < end; line += kCacheLineBytes) {
+        const auto *addr = reinterpret_cast<const void *>(line);
+        if (forWrite)
+            __builtin_prefetch(addr, 1, 3);
+        else
+            __builtin_prefetch(addr, 0, 3);
+    }
 }
 
 } // namespace lsched

@@ -70,10 +70,10 @@ Cli::Cli(std::string program, std::string blurb)
 
 void
 Cli::addInt(const std::string &name, std::int64_t def,
-            const std::string &help)
+            const std::string &help, std::int64_t min)
 {
     options_.push_back({name, Kind::Int, help, std::to_string(def),
-                        std::to_string(def)});
+                        std::to_string(def), min});
 }
 
 void
@@ -116,7 +116,7 @@ Cli::parse(int argc, const char *const *argv)
             std::exit(0);
         }
         if (arg.rfind("--", 0) != 0)
-            LSCHED_FATAL("unexpected positional argument '", arg, "'");
+            usageError("unexpected positional argument '" + arg + "'");
         arg = arg.substr(2);
         std::string value;
         bool has_value = false;
@@ -127,10 +127,10 @@ Cli::parse(int argc, const char *const *argv)
         }
         Option *opt = lookup(arg);
         if (!opt)
-            LSCHED_FATAL("unknown option '--", arg, "'; see --help");
+            usageError("unknown option '--" + arg + "'");
         if (opt->kind == Kind::Flag) {
             if (has_value)
-                LSCHED_FATAL("flag '--", arg, "' takes no value");
+                usageError("flag '--" + arg + "' takes no value");
             opt->value = "1";
             continue;
         }
@@ -140,10 +140,18 @@ Cli::parse(int argc, const char *const *argv)
         }
         if (!has_value) {
             if (i + 1 >= argc)
-                LSCHED_FATAL("option '--", arg, "' needs a value");
+                usageError("option '--" + arg + "' needs a value");
             value = argv[++i];
         }
         opt->value = value;
+    }
+
+    for (const auto &opt : options_) {
+        if (opt.kind == Kind::Int && opt.min != kNoMinimum &&
+            getInt(opt.name) < opt.min) {
+            usageError("option '--" + opt.name + "': " + opt.value +
+                       " is below the minimum " + std::to_string(opt.min));
+        }
     }
 
     const std::string &trace_path = getString("trace");
@@ -200,8 +208,8 @@ Cli::getInt(const std::string &name) const
     char *end = nullptr;
     const long long v = std::strtoll(opt.value.c_str(), &end, 0);
     if (end == opt.value.c_str() || *end != '\0')
-        LSCHED_FATAL("option '--", name, "': '", opt.value,
-                     "' is not an integer");
+        usageError("option '--" + name + "': '" + opt.value +
+                   "' is not an integer");
     return v;
 }
 
@@ -212,8 +220,8 @@ Cli::getDouble(const std::string &name) const
     char *end = nullptr;
     const double v = std::strtod(opt.value.c_str(), &end);
     if (end == opt.value.c_str() || *end != '\0')
-        LSCHED_FATAL("option '--", name, "': '", opt.value,
-                     "' is not a number");
+        usageError("option '--" + name + "': '" + opt.value +
+                   "' is not a number");
     return v;
 }
 
@@ -227,6 +235,17 @@ bool
 Cli::getFlag(const std::string &name) const
 {
     return find(name, Kind::Flag).value == "1";
+}
+
+void
+Cli::usageError(const std::string &message) const
+{
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [--option=value ...]; run '%s "
+                 "--help' for the options\n",
+                 program_.c_str(), message.c_str(), program_.c_str(),
+                 program_.c_str());
+    std::exit(1);
 }
 
 std::string

@@ -21,6 +21,7 @@
 #define LSCHED_SUPPORT_CLI_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -73,12 +74,20 @@ CliProfileHook setCliProfileHook(CliProfileHook hook);
 class Cli
 {
   public:
+    /** addInt() minimum meaning "no lower bound". */
+    static constexpr std::int64_t kNoMinimum =
+        std::numeric_limits<std::int64_t>::min();
+
     /** @param program short program name, @param blurb one-line help. */
     Cli(std::string program, std::string blurb);
 
-    /** Register an integer option with a default. */
+    /**
+     * Register an integer option with a default. parse() rejects a
+     * value below @p min with a usage error (sizes and counts pass 1,
+     * so 0 never reaches the program).
+     */
     void addInt(const std::string &name, std::int64_t def,
-                const std::string &help);
+                const std::string &help, std::int64_t min = kNoMinimum);
     /** Register a floating-point option with a default. */
     void addDouble(const std::string &name, double def,
                    const std::string &help);
@@ -89,10 +98,18 @@ class Cli
     void addFlag(const std::string &name, const std::string &help);
 
     /**
-     * Parse argv. Prints help and exits(0) on --help; calls
-     * LSCHED_FATAL on unknown options or malformed values.
+     * Parse argv. Prints help and exits(0) on --help; reports unknown
+     * options, malformed or out-of-range values through usageError().
      */
     void parse(int argc, const char *const *argv);
+
+    /**
+     * Print @p message and a one-line usage hint to stderr, then
+     * exit(1). For checks a program makes on parsed values that the
+     * option table cannot express (a value from a fixed set, a power
+     * of two, ...), so bad input always ends the same way.
+     */
+    [[noreturn]] void usageError(const std::string &message) const;
 
     /** Look up parsed values (fatal if the name was never added). */
     std::int64_t getInt(const std::string &name) const;
@@ -115,6 +132,7 @@ class Cli
         std::string help;
         std::string value; // textual; parsed on get
         std::string def;
+        std::int64_t min = kNoMinimum;
     };
 
     const Option &find(const std::string &name, Kind kind) const;

@@ -30,6 +30,7 @@
 
 #include "obs/profile.hh"
 #include "obs/trace.hh"
+#include "support/align.hh"
 #include "support/failpoint.hh"
 #include "threads/bin.hh"
 #include "threads/fault.hh"
@@ -43,10 +44,13 @@ namespace lsched::threads::detail
 class GroupCursor
 {
   public:
-    explicit GroupCursor(Bin *bin) : group_(bin->groupsHead) {}
+    explicit GroupCursor(Bin *bin) : GroupCursor(bin->groupsHead) {}
 
     /** Cursor over a detached chain (a sealed streaming epoch). */
-    explicit GroupCursor(ThreadGroup *head) : group_(head) {}
+    explicit GroupCursor(ThreadGroup *head) : group_(head)
+    {
+        prefetchSuccessor();
+    }
 
     /** Counts and links are re-read each step so threads forked into
      *  this very bin during execution (nested fork) are picked up. */
@@ -60,6 +64,7 @@ class GroupCursor
             }
             group_ = group_->next;
             index_ = 0;
+            prefetchSuccessor();
         }
         return false;
     }
@@ -72,6 +77,20 @@ class GroupCursor
     }
 
   private:
+    /** On stepping onto a group, start loading the one after it, so
+     *  the walk does not stall on a cold spec line at each group
+     *  boundary. */
+    void
+    prefetchSuccessor() const
+    {
+        if (group_ && group_->next) {
+            const ThreadGroup *after = group_->next;
+            prefetchLines(after->specs,
+                          sizeof(ThreadSpec) * after->count,
+                          /*forWrite=*/false);
+        }
+    }
+
     ThreadGroup *group_;
     std::uint32_t index_ = 0;
     const ThreadSpec *current_ = nullptr;

@@ -433,6 +433,9 @@ class LocalityScheduler
     /** Bins allocated so far. */
     std::uint64_t binCount() const { return table_.binCount(); }
 
+    /** The batch path's group pool (slabs carved, groups handed out). */
+    const GroupPool &groupPool() const { return pool_; }
+
     /** Snapshot of occupancy statistics. */
     SchedulerStats stats() const;
 

@@ -9,6 +9,21 @@
  * and recycle through an intrusive free list between runs, so steady
  * state forking performs no allocation and a cold burst performs two
  * per slab rather than two per group.
+ *
+ * Recycled groups are cold. A freshly carved slab was zero-filled just
+ * before use, so its spec lines are still cached; a group popped off
+ * the free list was last written a whole tour earlier — 24 MiB of
+ * specs ago on Table 1's 2^20-thread tour, twelve times the 2 MiB L2
+ * — so each 64-byte spec line a fork writes into it used to be a
+ * write miss. That is why a scheduler's first tour forked faster than
+ * every later one. allocate() now prefetches the whole spec array of
+ * a recycled group for writing (24 lines at capacity 64, once per 64
+ * forks); the forks that fill it then store into cache. The open
+ * tail groups of Table 1's 256 bins are 384 KiB, well inside L2.
+ * GroupCursor (bin_exec.hh) likewise prefetches the next group's
+ * specs when a walk steps onto a group. On the null-fork benchmark
+ * workload (4-vCPU Xeon, 2 MiB L2; paired traced runs) fork fell from
+ * 114 to 70 ns per thread and run stayed at 21 ns; see EXPERIMENTS.md.
  */
 
 #ifndef LSCHED_THREADS_THREAD_GROUP_HH
@@ -20,6 +35,7 @@
 #include <new>
 #include <vector>
 
+#include "support/align.hh"
 #include "support/failpoint.hh"
 #include "support/panic.hh"
 #include "threads/thread.hh"
@@ -111,6 +127,12 @@ class GroupPool
         if (free_) {
             g = free_;
             free_ = g->next;
+            // A recycled group was last written a whole tour ago and
+            // is long evicted: warm its spec lines now so the forks
+            // that fill it store into cache instead of each taking a
+            // write miss (see the file comment).
+            prefetchLines(g->specs, sizeof(ThreadSpec) * g->capacity,
+                          /*forWrite=*/true);
         } else {
             g = carve();
         }

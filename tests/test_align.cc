@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/align.hh"
 
 namespace
@@ -65,6 +67,18 @@ TEST(Align, AlignUpDown)
     EXPECT_EQ(alignDown(63, 64), 0u);
     EXPECT_EQ(alignDown(64, 64), 64u);
     EXPECT_EQ(alignDown(127, 64), 64u);
+}
+
+TEST(Align, PrefetchLinesLeavesMemoryUntouched)
+{
+    // A hint only: unaligned ranges, ranges ending mid-line and empty
+    // ranges, for reading and for writing, change no byte.
+    std::vector<unsigned char> buf(3 * kCacheLineBytes + 7, 0xab);
+    prefetchLines(buf.data() + 5, buf.size() - 5, /*forWrite=*/true);
+    prefetchLines(buf.data() + 1, 2 * kCacheLineBytes, false);
+    prefetchLines(buf.data(), 0, true);
+    for (const unsigned char b : buf)
+        EXPECT_EQ(b, 0xab);
 }
 
 } // namespace

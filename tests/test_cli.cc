@@ -145,6 +145,32 @@ TEST(CliDeathTest, FlagWithValueIsFatal)
                 "takes no value");
 }
 
+TEST(CliDeathTest, IntBelowMinimumIsAUsageError)
+{
+    Cli cli("prog", "t");
+    cli.addInt("size", 4, "a size", 1);
+    const char *argv[] = {"prog", "--size=0"};
+    EXPECT_EXIT(cli.parse(2, argv), ::testing::ExitedWithCode(1),
+                "'--size': 0 is below the minimum 1");
+}
+
+TEST(Cli, IntAtMinimumIsAccepted)
+{
+    Cli cli("prog", "t");
+    cli.addInt("size", 4, "a size", 1);
+    const char *argv[] = {"prog", "--size=1"};
+    cli.parse(2, argv);
+    EXPECT_EQ(cli.getInt("size"), 1);
+}
+
+TEST(CliDeathTest, UsageErrorPrintsTheUsageLine)
+{
+    Cli cli = makeCli();
+    EXPECT_EXIT(cli.usageError("--n must be odd"),
+                ::testing::ExitedWithCode(1),
+                "prog: --n must be odd\nusage: prog ");
+}
+
 // The --sched end-to-end checks run in the EXPECT_EXIT child so the
 // process-global override list never leaks into other tests.
 

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "support/error.hh"
+#include "support/prng.hh"
 #include "threads/scheduler.hh"
 
 namespace
@@ -274,6 +276,68 @@ TEST(Scheduler, ConfigureResetsBins)
     s.configure(cfg);
     EXPECT_EQ(s.binCount(), 0u);
     EXPECT_EQ(s.config().blockBytes, 1u << 10);
+}
+
+/** Bumps the byte slot @p id of the slot array @p slots. */
+void
+markSlot(void *slots, void *id)
+{
+    ++static_cast<std::uint8_t *>(slots)[reinterpret_cast<std::uintptr_t>(
+        id)];
+}
+
+TEST(SchedulerReuse, ShuffledRoundsRunExactlyOnceWithoutNewGroups)
+{
+    // Table 1's shape at 1/16 scale: null threads spread evenly over a
+    // 16x16 block grid in shuffled order, forked and run in rounds on
+    // one scheduler, so every round after the first forks into
+    // recycled groups.
+    constexpr std::uint64_t kThreads = 1u << 16;
+    constexpr unsigned kGrid = 16;
+    constexpr int kRounds = 5;
+    SchedulerConfig cfg;
+    cfg.dims = 2;
+    cfg.cacheBytes = 2 << 20;
+    cfg.blockBytes = cfg.cacheBytes / 2;
+    LocalityScheduler sched(cfg);
+
+    std::vector<std::uint32_t> cells(kThreads);
+    for (std::uint64_t i = 0; i < kThreads; ++i)
+        cells[i] = static_cast<std::uint32_t>(i % (kGrid * kGrid));
+    lsched::Prng rng(2024);
+    for (std::uint64_t i = kThreads; i > 1; --i)
+        std::swap(cells[i - 1], cells[rng.nextBelow(i)]);
+
+    std::vector<std::uint8_t> slots(kThreads);
+    std::size_t slabs = 0;
+    std::size_t groups = 0;
+    for (int round = 0; round < kRounds; ++round) {
+        std::fill(slots.begin(), slots.end(), 0);
+        for (std::uint64_t i = 0; i < kThreads; ++i) {
+            sched.fork(&markSlot, slots.data(),
+                       reinterpret_cast<void *>(i),
+                       (cells[i] % kGrid) * cfg.blockBytes,
+                       (cells[i] / kGrid) * cfg.blockBytes);
+        }
+        EXPECT_EQ(sched.run(false), kThreads) << "round " << round;
+        EXPECT_EQ(static_cast<std::uint64_t>(
+                      std::count(slots.begin(), slots.end(), 1)),
+                  kThreads)
+            << "round " << round;
+
+        const GroupPool &pool = sched.groupPool();
+        if (round == 0) {
+            slabs = pool.slabCount();
+            groups = pool.allocatedGroups();
+            EXPECT_GT(slabs, 0u);
+        } else {
+            EXPECT_EQ(pool.slabCount(), slabs) << "round " << round;
+            EXPECT_EQ(pool.allocatedGroups(), groups)
+                << "round " << round;
+        }
+    }
+    EXPECT_EQ(sched.stats().executedThreads, kRounds * kThreads);
+    EXPECT_EQ(sched.pendingThreads(), 0u);
 }
 
 TEST(SchedulerMisuse, ConfigureWithPendingThreadsThrows)

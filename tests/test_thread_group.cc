@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "threads/bin_exec.hh"
 #include "threads/thread_group.hh"
 
 namespace
@@ -81,6 +82,72 @@ TEST(GroupPool, SteadyStateForkingAllocatesNothingNew)
         pool.recycleChain(head);
     }
     EXPECT_EQ(pool.allocatedGroups(), 10u);
+}
+
+/** Counts its calls in the int arg1 points to. */
+void
+countCall(void *counter, void *)
+{
+    ++*static_cast<int *>(counter);
+}
+
+/** Planted in every slot of a group's first life; must never run. */
+void
+poison(void *, void *)
+{
+    ADD_FAILURE() << "cursor ran a spec past its group's count";
+}
+
+TEST(GroupReuse, PartialLastGroupOfLongChainRunsExactlyItsThreads)
+{
+    constexpr std::uint32_t kCapacity = 4;
+    constexpr int kThreads = 10; // 4 + 4 + 2: three groups, last partial
+    GroupPool pool(kCapacity);
+
+    // First life: fill five groups with poison, so every slot past a
+    // recycled group's new count holds a stale spec.
+    ThreadGroup *stale = nullptr;
+    for (int i = 0; i < 5; ++i) {
+        ThreadGroup *g = pool.allocate();
+        while (!g->full())
+            g->push(&poison, nullptr, nullptr);
+        g->next = stale;
+        stale = g;
+    }
+    pool.recycleChain(stale);
+
+    // Second life: one bin, forked the way LocalityScheduler::fork()
+    // appends, entirely out of recycled groups.
+    Bin bin;
+    int calls[kThreads] = {};
+    for (int t = 0; t < kThreads; ++t) {
+        ThreadGroup *g = bin.groupsTail;
+        if (!g || g->full()) {
+            g = pool.allocate();
+            if (bin.groupsTail)
+                bin.groupsTail->next = g;
+            else
+                bin.groupsHead = g;
+            bin.groupsTail = g;
+        }
+        g->push(&countCall, &calls[t], nullptr);
+        ++bin.threadCount;
+    }
+    EXPECT_EQ(pool.allocatedGroups(), 5u);
+    ASSERT_NE(bin.groupsHead, nullptr);
+    ASSERT_NE(bin.groupsHead->next, nullptr);
+    ASSERT_EQ(bin.groupsHead->next->next, bin.groupsTail);
+    EXPECT_EQ(bin.groupsTail->next, nullptr);
+    EXPECT_EQ(bin.groupsTail->count, 2u);
+
+    detail::GroupCursor cursor(&bin);
+    std::uint64_t ran = 0;
+    while (cursor.next())
+        ran += cursor.run();
+    EXPECT_EQ(ran, static_cast<std::uint64_t>(kThreads));
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(calls[t], 1) << "thread " << t;
+    pool.recycleChain(bin.groupsHead);
 }
 
 TEST(GroupPoolDeathTest, ZeroCapacityPanics)

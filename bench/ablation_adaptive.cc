@@ -25,9 +25,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -279,13 +279,14 @@ main(int argc, char **argv)
 
     // Quiescent overhead: with the tuner settled (no fresh profiler
     // epochs), time a fork-heavy no-op tour against plain blockhash at
-    // the same geometry. Per-rep minimum, because the one-off cost the
-    // adaptive wrapper adds (an acquire load per place) is far below
-    // scheduler wall-clock jitter; the min is the jitter-robust
-    // estimator of the true per-tour floor.
+    // the same geometry. One tour is ~0.2 ms, well inside timer and
+    // scheduling noise, so each sample times a batch of tours lasting
+    // a few milliseconds of this thread's CPU time (time spent
+    // preempted by other processes does not count), and the two sides
+    // alternate (ABBA) so frequency drift and neighbour load hit them
+    // equally. The overhead is the median of the per-pair ratios.
     const auto oneTour = [&](threads::LocalityScheduler &s) {
         static std::atomic<std::uint64_t> sink{0};
-        const auto begin = std::chrono::steady_clock::now();
         for (std::size_t i = 0; i < 4000; ++i) {
             s.fork(
                 [](void *, void *) {
@@ -295,14 +296,24 @@ main(int argc, char **argv)
                 static_cast<threads::Hint>(i) * 4096);
         }
         s.run();
-        return std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - begin)
-            .count();
     };
-    // Both sides fresh at the converged geometry, reps interleaved so
-    // frequency drift hits them equally; the adaptive side exercises
-    // the full quiescent path including run()-end maybeRetune() (the
-    // profiler is disabled, so the tuner never moves).
+    const auto threadCpuMs = [] {
+        timespec ts{};
+        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+        return static_cast<double>(ts.tv_sec) * 1e3 +
+               static_cast<double>(ts.tv_nsec) * 1e-6;
+    };
+    const auto timeTours = [&](threads::LocalityScheduler &s,
+                               int tours) {
+        const double begin = threadCpuMs();
+        for (int t = 0; t < tours; ++t)
+            oneTour(s);
+        return threadCpuMs() - begin;
+    };
+    // Both sides fresh at the converged geometry; the adaptive side
+    // exercises the full quiescent path including run()-end
+    // maybeRetune() (the profiler is disabled, so the tuner never
+    // moves).
     threads::SchedulerConfig quiet;
     quiet.dims = 1;
     quiet.cacheBytes = machine.l2Size();
@@ -312,16 +323,34 @@ main(int argc, char **argv)
     quietAdapt.placement = threads::PlacementKind::Adaptive;
     quietAdapt.adaptBase = threads::PlacementKind::BlockHash;
     threads::LocalityScheduler adaptiveQuiet(quietAdapt);
-    oneTour(baseline); // warmup: first-touch of bins and free lists
+    // Warm-up (first touch of bins and free lists), then size the
+    // samples to last about kSampleMs.
+    constexpr double kSampleMs = 2.0;
+    constexpr int kPairs = 101;
+    oneTour(baseline);
     oneTour(adaptiveQuiet);
-    double baseMs = oneTour(baseline);
-    double adaptMs = oneTour(adaptiveQuiet);
-    for (int rep = 1; rep < 30; ++rep) {
-        baseMs = std::min(baseMs, oneTour(baseline));
-        adaptMs = std::min(adaptMs, oneTour(adaptiveQuiet));
+    const double warmMs = timeTours(baseline, 8);
+    const int toursPerSample = std::clamp(
+        static_cast<int>(kSampleMs * 8 / std::max(warmMs, 1e-3)), 8,
+        4096);
+    std::vector<double> ratios;
+    for (int pair = 0; pair < kPairs; ++pair) {
+        double baseMs = 0;
+        double adaptMs = 0;
+        if (pair % 2 == 0) {
+            baseMs = timeTours(baseline, toursPerSample);
+            adaptMs = timeTours(adaptiveQuiet, toursPerSample);
+        } else {
+            adaptMs = timeTours(adaptiveQuiet, toursPerSample);
+            baseMs = timeTours(baseline, toursPerSample);
+        }
+        if (baseMs > 0.0)
+            ratios.push_back(adaptMs / baseMs);
     }
+    std::sort(ratios.begin(), ratios.end());
     const double overheadPercent =
-        baseMs > 0.0 ? 100.0 * (adaptMs - baseMs) / baseMs : 0.0;
+        ratios.empty() ? 0.0
+                       : 100.0 * (ratios[ratios.size() / 2] - 1.0);
 
     TextTable table("Ablation: adaptive placement convergence",
                     {"metric", "value"});

@@ -22,7 +22,8 @@
  * redesign.
  */
 
-#include <atomic>
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -41,11 +42,14 @@ namespace
 /** Recorded lock-striped baseline (see the file comment). */
 constexpr double kLockStripedSingleProducerSpeedup = 1.21;
 
+/** Null thread body: marks its own 1-byte slot, so no two thread
+ *  bodies share a written word and the sweep times admission, not a
+ *  contended counter. */
 void
-bumpCounter(void *counter, void *)
+markSlot(void *slots, void *id)
 {
-    static_cast<std::atomic<std::uint64_t> *>(counter)->fetch_add(
-        1, std::memory_order_relaxed);
+    static_cast<std::uint8_t *>(slots)[reinterpret_cast<std::uintptr_t>(
+        id)] += 1;
 }
 
 } // namespace
@@ -100,16 +104,16 @@ main(int argc, char **argv)
                 repeats, hostCpus);
 
     // One sweep point: --threads total forks split over p producers,
-    // each hinted into one of --bins blocks, bodies a single relaxed
-    // increment. Returns best-of wall seconds; conservation checked
-    // on every run.
-    std::atomic<std::uint64_t> ran{0};
+    // each hinted into one of --bins blocks, each body marking its own
+    // slot. Returns best-of wall seconds; every run checks that every
+    // thread ran exactly once.
+    std::vector<std::uint8_t> slots(threads);
     bool conserved = true;
     const auto sweepPoint = [&](unsigned producers) {
         double best = 0.0;
         for (int r = 0; r < repeats; ++r) {
             threads::LocalityScheduler s(cfg);
-            ran.store(0, std::memory_order_relaxed);
+            std::fill(slots.begin(), slots.end(), 0);
             const std::uint64_t chunk =
                 (threads + producers - 1) / producers;
             WallTimer timer;
@@ -120,7 +124,8 @@ main(int argc, char **argv)
                         begin + chunk < threads ? begin + chunk
                                                 : threads;
                     for (std::uint64_t i = begin; i < end; ++i) {
-                        s.fork(bumpCounter, &ran, nullptr,
+                        s.fork(markSlot, slots.data(),
+                               reinterpret_cast<void *>(i),
                                static_cast<threads::Hint>(
                                    (i % bins) * cfg.blockBytes * 2),
                                0);
@@ -128,7 +133,8 @@ main(int argc, char **argv)
                 });
             const double t = timer.seconds();
             if (executed != threads ||
-                ran.load(std::memory_order_relaxed) != threads)
+                !std::all_of(slots.begin(), slots.end(),
+                             [](std::uint8_t v) { return v == 1; }))
                 conserved = false;
             if (r == 0 || t < best)
                 best = t;

@@ -311,8 +311,13 @@ AdaptivePlacement::peek(std::span<const Hint> hints) const
 bool
 AdaptivePlacement::maybeRetune()
 {
-    const AdaptSample totals = profilerTotals();
     std::lock_guard<std::mutex> lock(mutex_);
+    // Quiescent: no sample since the last poll means no feedback.
+    // Return before the per-bin scan, which walks the whole profile
+    // store (1024 slots by default) and would do so once per tour.
+    if (obs::Profiler::global().samples() == lastTotals_.samples)
+        return false;
+    const AdaptSample totals = profilerTotals();
     if (totals.samples < lastTotals_.samples) {
         // The profiler was reset since the last poll; its totals
         // restarted from zero, so consume them whole.

@@ -74,19 +74,25 @@ namespace lsched::threads
 /**
  * One bin of the streaming scheduling space. The search key (coords +
  * cached hash), id, and super-bin are written by the creating producer
- * before the bin is published into a table slot; everything else is
- * concurrently updated through atomics.
+ * before the bin is published into a table slot and never after; they
+ * share the first line(s) with nothing a producer or sealer writes,
+ * so a probe that compares keys stays a cache hit while other
+ * producers append to the bin. The epoch words every append and seal
+ * touch sit on a line of their own.
  */
 struct alignas(64) StreamBin
 {
-    /** Search key: block coordinates in the scheduling space. */
-    BlockCoords coords{};
     /** Cached hash of coords (probe compare + growth relocation). */
     std::uint64_t hashVal = 0;
     /** Stable trace identity: table idBase + arena index. */
     std::uint32_t id = 0;
     /** Second-level placement group (kNoSuperBin when flat). */
     std::uint32_t superBin = kNoSuperBin;
+    /** Search key: block coordinates in the scheduling space. */
+    BlockCoords coords{};
+    /** Spare-stack successor index (+1; 0 = end). Written only while
+     *  the bin is unpublished. */
+    std::atomic<std::uint32_t> spareNext{0};
 
     /**
      * Newest group of the current epoch's prev-linked chain, as a
@@ -97,15 +103,14 @@ struct alignas(64) StreamBin
      * (appendStreamSpec). The single anchor both producers (CAS
      * install) and sealers (exchange) contend on.
      */
-    std::atomic<std::uint64_t> tail{0};
+    alignas(64) std::atomic<std::uint64_t> tail{0};
     /** Threads admitted to the current epoch (threshold sealing). */
     std::atomic<std::uint64_t> epochThreads{0};
     /** Seal epochs this bin has gone through. */
     std::atomic<std::uint32_t> epochs{0};
-    /** Threads admitted across all epochs (final report). */
+    /** Threads sealed across all epochs (final report); bumped once
+     *  per seal, by the sealed chain's thread count. */
     std::atomic<std::uint64_t> totalThreads{0};
-    /** Spare-stack successor index (+1; 0 = end). */
-    std::atomic<std::uint32_t> spareNext{0};
 };
 
 /** A bin epoch detached by sealStreamBin(), ready to drain. */
@@ -135,11 +140,11 @@ struct SealedChain
  * capacity, so every reservation is matched by exactly one ready
  * publication the sealer can wait on.
  *
- * The epoch/total counters are bumped *before* the spec is published
- * (and rolled back if the group allocation throws): a sealer that
- * captures the spec has, through the publication's release/acquire
- * edge, already seen the bumps, so its fetch_sub of the sealed count
- * can never transiently underflow the counter.
+ * The epoch counter is bumped *before* the spec is published (and
+ * rolled back if the group allocation throws): a sealer that captures
+ * the spec has, through the publication's release/acquire edge,
+ * already seen the bump, so its fetch_sub of the sealed count can
+ * never transiently underflow the counter.
  */
 inline std::uint64_t
 appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
@@ -147,7 +152,6 @@ appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
 {
     const std::uint64_t epochCount =
         bin.epochThreads.fetch_add(1, std::memory_order_relaxed) + 1;
-    bin.totalThreads.fetch_add(1, std::memory_order_relaxed);
     ThreadGroup *fresh = nullptr;
     for (;;) {
         const std::uint64_t t =
@@ -187,12 +191,10 @@ appendStreamSpec(StreamBin &bin, ConcurrentGroupPool &pool,
             try {
                 fresh = pool.allocate();
             } catch (...) {
-                // Roll the speculative bumps back: a failed admission
-                // must not leave a phantom thread inflating the bin's
-                // report or keeping force-seal sweeps rescanning it.
+                // Roll the speculative bump back: a failed admission
+                // must not leave a phantom thread keeping force-seal
+                // sweeps rescanning the bin.
                 bin.epochThreads.fetch_sub(1,
-                                           std::memory_order_relaxed);
-                bin.totalThreads.fetch_sub(1,
                                            std::memory_order_relaxed);
                 throw;
             }
@@ -265,6 +267,7 @@ sealStreamBin(StreamBin &bin, ConcurrentGroupPool &pool)
         bin.epochs.fetch_add(1, std::memory_order_relaxed) + 1;
     bin.epochThreads.fetch_sub(chain.threads,
                                std::memory_order_relaxed);
+    bin.totalThreads.fetch_add(chain.threads, std::memory_order_relaxed);
     return chain;
 }
 

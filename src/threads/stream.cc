@@ -8,6 +8,7 @@
 #include "threads/stream.hh"
 
 #include <chrono>
+#include <optional>
 #include <string>
 
 #include "support/error.hh"
@@ -116,10 +117,14 @@ StreamSession::shardOf(std::uint64_t hash) const
 }
 
 void
-StreamSession::notePending()
+StreamSession::notePeak(std::uint64_t ticket, std::uint64_t retired)
 {
-    const std::uint64_t now =
-        pending_.fetch_add(1, std::memory_order_relaxed) + 1;
+    // The backlog this ticket joined: itself and every earlier ticket
+    // not yet retired. A gated pass keeps it under maxPending_, so once
+    // the peak reaches the bound the load below is all a fork pays.
+    if (ticket + 1 <= retired)
+        return;
+    const std::uint64_t now = ticket + 1 - retired;
     std::uint64_t peak = peak_.load(std::memory_order_relaxed);
     while (now > peak &&
            !peak_.compare_exchange_weak(peak, now,
@@ -128,35 +133,61 @@ StreamSession::notePending()
 }
 
 void
+StreamSession::refund()
+{
+    refunds_.fetch_add(1, std::memory_order_relaxed);
+    retiredThreads_.fetch_add(1, std::memory_order_release);
+}
+
+std::uint64_t
+StreamSession::backlog() const
+{
+    // Retired first: every retirement and refund follows its ticket, so
+    // the later tickets load covers it.
+    const std::uint64_t retired =
+        retiredThreads_.load(std::memory_order_acquire);
+    const std::uint64_t tickets =
+        tickets_.load(std::memory_order_relaxed);
+    return tickets > retired ? tickets - retired : 0;
+}
+
+void
 StreamSession::admitThread()
 {
     // Every admission takes a ticket, bypass or not: bypassed
     // admissions then count against the gate arithmetic, so gated
-    // producers automatically absorb any overshoot they caused.
+    // producers automatically absorb any overshoot they caused. The
+    // ticket is the only session word a fork writes.
     const std::uint64_t ticket =
         tickets_.fetch_add(1, std::memory_order_relaxed);
-    if (!maxPending_ || t_inInlineDrain) {
-        notePending();
-        return;
-    }
+    std::uint64_t retired =
+        retiredThreads_.load(std::memory_order_acquire);
+    // The gate: this ticket fits under the bound once the drain has
+    // retired enough threads. Tickets pass in FIFO order and the
+    // admitted-unretired backlog can never exceed the bound.
+    if (maxPending_ && !t_inInlineDrain &&
+        ticket >= retired + maxPending_) [[unlikely]]
+        retired = waitAtGate(ticket, retired);
+    notePeak(ticket, retired);
+}
+
+std::uint64_t
+StreamSession::waitAtGate(std::uint64_t ticket, std::uint64_t retired)
+{
     unsigned noProgress = 0;
     std::uint64_t waitUs = kBackoffBaseUs;
-    Prng jitter(0x5bd1e995u +
-                jitterSeed_.fetch_add(1, std::memory_order_relaxed));
-    for (;;) {
+    // Seeded before the first sleep only: most held producers pass
+    // after helping and never sleep.
+    std::optional<Prng> jitter;
+    for (;; retired = retiredThreads_.load(std::memory_order_acquire)) {
         if (fault_.stopRequested()) {
             // Stopping: drainers are discarding, so holding producers
             // at the gate could wait on progress that never comes.
             break;
         }
-        // The gate: this ticket fits under the bound once the drain
-        // has retired enough threads. Tickets pass in FIFO order and
-        // the admitted-unretired backlog can never exceed the bound.
-        if (ticket < retiredThreads_.load(std::memory_order_acquire) +
-                         maxPending_)
+        if (ticket < retired + maxPending_)
             break;
-        LSCHED_TRACE_EVENT(obs::EventType::Backpressure,
-                           pending_.load(std::memory_order_relaxed),
+        LSCHED_TRACE_EVENT(obs::EventType::Backpressure, backlog(),
                            maxPending_);
         if (obs::metricsOn())
             detail::schedInstruments().streamBackpressure->add();
@@ -179,10 +210,14 @@ StreamSession::admitThread()
         // as a diagnosable timeout rather than a hang — and no lock is
         // shared with the admission fast path.
         bpWaits_.fetch_add(1, std::memory_order_relaxed);
+        if (!jitter) {
+            jitter.emplace(0x5bd1e995u + jitterSeed_.fetch_add(
+                                             1, std::memory_order_relaxed));
+        }
         const std::uint64_t retiredBefore =
             retiredThreads_.load(std::memory_order_relaxed);
         const std::uint64_t sleepUs =
-            waitUs / 2 + jitter.nextBelow(waitUs / 2 + 1);
+            waitUs / 2 + jitter->nextBelow(waitUs / 2 + 1);
         std::this_thread::sleep_for(
             std::chrono::microseconds(sleepUs));
         if (retiredThreads_.load(std::memory_order_relaxed) !=
@@ -208,13 +243,12 @@ StreamSession::admitThread()
                 detail::schedInstruments()
                     .recoverAdmissionTimeouts->add();
             }
-            const std::uint64_t cur =
-                pending_.load(std::memory_order_relaxed);
-            LSCHED_TRACE_EVENT(obs::EventType::AdmissionTimeout, cur,
-                               maxPending_, noProgress);
             // The ticket this admission took never retires on its
             // own; refund it so the gate stays consistent.
-            retiredThreads_.fetch_add(1, std::memory_order_release);
+            refund();
+            const std::uint64_t cur = backlog();
+            LSCHED_TRACE_EVENT(obs::EventType::AdmissionTimeout, cur,
+                               maxPending_, noProgress);
             throw AdmissionTimeout(lsched::detail::concatMessage(
                 "stream admission timed out after ", noProgress,
                 " no-progress backoff round(s): ", cur,
@@ -227,7 +261,7 @@ StreamSession::admitThread()
         }
         waitUs = std::min(waitUs * 2, kBackoffCapUs);
     }
-    notePending();
+    return retired;
 }
 
 bool
@@ -265,7 +299,6 @@ StreamSession::makeItem(const StreamBin &bin,
 void
 StreamSession::enqueue(const detail::SealedBin &item)
 {
-    seals_.fetch_add(1, std::memory_order_relaxed);
     LSCHED_TRACE_EVENT(obs::EventType::StreamSeal, item.binId,
                        item.epoch, item.threads);
     if (obs::metricsOn())
@@ -286,6 +319,7 @@ StreamSession::enqueue(const detail::SealedBin &item)
         } catch (...) {
             // Abort unwinding: retire our own chain too so the
             // backlog accounting stays sane.
+            unpushedSeals_.fetch_add(1, std::memory_order_relaxed);
             discard(item);
             throw;
         }
@@ -357,12 +391,10 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
     } catch (...) {
         // The admission slot was reserved up front; hand it back so an
         // allocation failure cannot wedge the gate or the backlog.
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-        retiredThreads_.fetch_add(1, std::memory_order_release);
+        refund();
         throw;
     }
 
-    forked_.fetch_add(1, std::memory_order_relaxed);
     if (obs::anyOn()) [[unlikely]] {
         if (obs::metricsOn()) {
             const detail::SchedInstruments &ins =
@@ -419,7 +451,6 @@ StreamSession::retire(const detail::SealedBin &item)
 {
     groupPool_.recycleChain(item.groups);
     retired_.fetch_add(1, std::memory_order_relaxed);
-    pending_.fetch_sub(item.threads, std::memory_order_relaxed);
     // The release pairs with the gate's acquire: a producer that
     // passes on these retirements also sees the recycled groups'
     // state reach the free tiers coherently.
@@ -459,8 +490,7 @@ StreamSession::monitorMain()
     bool sawBacklog = false;
     std::unique_lock<std::mutex> lock(monMutex_);
     while (!monCv_.wait_for(lock, tick, [&] { return monDone_; })) {
-        const std::uint64_t pend =
-            pending_.load(std::memory_order_relaxed);
+        const std::uint64_t pend = backlog();
         const std::uint64_t ret =
             retired_.load(std::memory_order_relaxed);
         if (deadlineMillis_ > 0 && !cancel_.requested()) {
@@ -556,8 +586,7 @@ StreamSession::shedLoad()
         detail::schedInstruments().recoverLoadSheds->add();
     LSCHED_WARN("stream overload: degraded; force-sealed ", shedBins,
                 " open bin(s) for the drain");
-    LSCHED_TRACE_EVENT(obs::EventType::LoadShed, shedBins,
-                       pending_.load(std::memory_order_relaxed),
+    LSCHED_TRACE_EVENT(obs::EventType::LoadShed, shedBins, backlog(),
                        maxPending_);
 }
 
@@ -627,12 +656,20 @@ StreamStats
 StreamSession::stats() const
 {
     StreamStats s;
-    s.forked = forked_.load(std::memory_order_relaxed);
+    // Nothing on the fork path counts forks, backlog or seals; they
+    // follow from the ticket, retirement and ring words. A fork still
+    // inside fork() already counts as forked and pending.
+    s.backlog = backlog();
+    const std::uint64_t refunds =
+        refunds_.load(std::memory_order_relaxed);
+    const std::uint64_t tickets =
+        tickets_.load(std::memory_order_relaxed);
+    s.forked = tickets > refunds ? tickets - refunds : 0;
     s.executed = executed_.load(std::memory_order_relaxed);
-    s.seals = seals_.load(std::memory_order_relaxed);
+    s.seals = queue_.pushed() +
+              unpushedSeals_.load(std::memory_order_relaxed);
     s.backpressureWaits = bpWaits_.load(std::memory_order_relaxed);
     s.inlineDrains = inlineDrains_.load(std::memory_order_relaxed);
-    s.backlog = pending_.load(std::memory_order_relaxed);
     s.peakBacklog = peak_.load(std::memory_order_relaxed);
     return s;
 }

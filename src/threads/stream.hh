@@ -39,11 +39,27 @@
  *    inline (becoming worker 0 for that bin), then to force-seal an
  *    open bin for the pool, and only then backs off with a timed,
  *    jittered exponential sleep — the slow path that preserves the
- *    stream_admit_retries / AdmissionTimeout semantics. Nested forks
- *    from a thread *being drained inline* bypass the bound — blocking
- *    there would deadlock the very producer doing the draining — so
- *    for workloads that fork from user threads the bound is a soft
- *    target, exact otherwise.
+ *    stream_admit_retries / AdmissionTimeout semantics; its jitter
+ *    generator is seeded only when a producer is about to sleep.
+ *    Nested forks from a thread *being drained inline* bypass the
+ *    bound — blocking there would deadlock the very producer doing
+ *    the draining — so for workloads that fork from user threads the
+ *    bound is a soft target, exact otherwise.
+ *
+ *  - The ticket is the only session word a fork writes. The session
+ *    counters are split by writer onto separate cache lines: the
+ *    ticket (producers), the retired-thread count (the drain; the gate
+ *    reads it), and slow-path counters. Forked is tickets less
+ *    refunds, the backlog is tickets less retired threads, seals are
+ *    the ring's pushes, and the peak backlog is taken from the retired
+ *    count the gate already loaded, so it is written only when it
+ *    rises. In a bin, the key fields a probe reads sit apart from the
+ *    epoch words appends and seals write, and the bin's running total
+ *    is bumped once per seal.
+ *
+ *  - The drain helpers spin on the sealed ring for a bounded spell
+ *    before parking, so seals that arrive microseconds apart find a
+ *    helper awake and pay no futex wake-up.
  *
  * Draining is the fourth execution mode next to Serial/Pooled/
  * ColdSpawn tours: there is no tour to partition — work arrives
@@ -92,7 +108,8 @@ struct StreamStats
     std::uint64_t backpressureWaits = 0;
     /** Sealed bins a producer drained inline under backpressure. */
     std::uint64_t inlineDrains = 0;
-    /** Threads admitted but not yet executed (live snapshot). */
+    /** Threads admitted but not yet executed (live snapshot; like
+     *  forked, it counts a fork still inside fork()). */
     std::uint64_t backlog = 0;
     /** Highest backlog observed. */
     std::uint64_t peakBacklog = 0;
@@ -125,6 +142,17 @@ struct StreamBinReport
 namespace detail
 {
 
+/** Spin-wait hint: tells the core this thread is polling. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
 /** One sealed chain: a bin epoch's threads, ready to drain. */
 struct SealedBin
 {
@@ -146,15 +174,19 @@ struct SealedBin
  * The mutex exists only to park idle drain helpers: a push touches it
  * solely when the sleepers count says somebody is (about to be)
  * parked, so the admission path stays mutex-free while the queue has
- * active consumers. The missed-wakeup race (sleeper registering while
- * a pusher checks) is closed Dekker-style with seq_cst fences on both
- * sides of the counter.
+ * active consumers. An idle helper polls for a bounded spell before it
+ * parks, so a steady stream of seals, each a few microseconds apart,
+ * finds it awake and pays no wake-up. The missed-wakeup race (sleeper
+ * registering while a pusher checks) is closed Dekker-style with
+ * seq_cst fences on both sides of the counter.
  */
 class SealedQueue
 {
   public:
     /** Ring capacity (power of two). On full, callers drain inline. */
     static constexpr std::size_t kCells = 4096;
+    /** Failed pops (each followed by a pause) before a helper parks. */
+    static constexpr unsigned kSpinPops = 1024;
 
     SealedQueue()
     {
@@ -224,8 +256,11 @@ class SealedQueue
     waitPop(SealedBin &out)
     {
         for (;;) {
-            if (tryPop(out))
-                return true;
+            for (unsigned spin = 0; spin < kSpinPops; ++spin) {
+                if (tryPop(out))
+                    return true;
+                cpuRelax();
+            }
             std::unique_lock<std::mutex> lock(mutex_);
             sleepers_.fetch_add(1, std::memory_order_relaxed);
             std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -245,6 +280,13 @@ class SealedQueue
             cv_.wait(lock);
             sleepers_.fetch_sub(1, std::memory_order_relaxed);
         }
+    }
+
+    /** Items ever pushed (each push claims the next tail position). */
+    std::size_t
+    pushed() const
+    {
+        return tail_.load(std::memory_order_relaxed);
     }
 
     /** No more pushes will come; unblocks every waitPop. */
@@ -392,8 +434,15 @@ class StreamSession
     unsigned shardOf(std::uint64_t hash) const;
     /** Take a ticket and wait out the maxPending gate. */
     void admitThread();
-    /** Record the post-admission backlog (peak tracking). */
-    void notePending();
+    /** Slow path of the gate: help, back off, or time out. Returns
+     *  the last retired count it loaded. */
+    std::uint64_t waitAtGate(std::uint64_t ticket, std::uint64_t retired);
+    /** Raise the peak to the backlog @p ticket saw at admission. */
+    void notePeak(std::uint64_t ticket, std::uint64_t retired);
+    /** Hand back the ticket of an admission that did not happen. */
+    void refund();
+    /** Tickets taken and not yet retired or refunded. */
+    std::uint64_t backlog() const;
     /** Help at the bound: inline-drain a sealed bin or force-seal an
      *  open one. False when the backlog is entirely in flight. */
     bool tryHelp();
@@ -446,21 +495,39 @@ class StreamSession
 
     /**
      * Ticket gate. tickets_ numbers every admission; retiredThreads_
-     * counts threads the drain has retired (plus fork-rollback
-     * refunds). A gated producer passes once
-     * ticket < retiredThreads_ + maxPending_, which bounds the
-     * admitted-unretired backlog by maxPending_ exactly.
+     * counts threads the drain has retired (plus refunds). A gated
+     * producer passes once ticket < retiredThreads_ + maxPending_,
+     * which bounds the admitted-unretired backlog by maxPending_
+     * exactly.
+     *
+     * The counters sit on lines by writer. tickets_ is the one word
+     * every fork writes. The drain writes its line once per retired
+     * chain; the gate reads it. The rest are written on slow paths
+     * only: forked = tickets_ - refunds_, backlog = tickets_ -
+     * retiredThreads_, seals = ring pushes + unpushedSeals_.
      */
-    std::atomic<std::uint64_t> tickets_{0};
-    std::atomic<std::uint64_t> retiredThreads_{0};
+    alignas(64) std::atomic<std::uint64_t> tickets_{0};
 
-    std::atomic<std::uint64_t> pending_{0};
-    std::atomic<std::uint64_t> peak_{0};
-    std::atomic<std::uint64_t> forked_{0};
+    alignas(64) std::atomic<std::uint64_t> retiredThreads_{0};
     std::atomic<std::uint64_t> executed_{0};
-    std::atomic<std::uint64_t> seals_{0};
+    /** Chains retired so far — the monitor's progress signal. */
+    std::atomic<std::uint64_t> retired_{0};
+
+    /** Highest backlog a ticket saw at admission; written only when
+     *  it rises, so forks read it from their own cache. */
+    alignas(64) std::atomic<std::uint64_t> peak_{0};
+
+    /** Tickets handed back (fork rollback, AdmissionTimeout). */
+    alignas(64) std::atomic<std::uint64_t> refunds_{0};
+    /** Sealed chains discarded before they reached the ring. */
+    std::atomic<std::uint64_t> unpushedSeals_{0};
     std::atomic<std::uint64_t> bpWaits_{0};
     std::atomic<std::uint64_t> inlineDrains_{0};
+    /** Seed mix-in so concurrent producers jitter independently. */
+    std::atomic<std::uint64_t> jitterSeed_{0};
+    /** True while the governor holds the session degraded: producers
+     *  stop blocking (soft bound) and open bins are force-sealed. */
+    std::atomic<bool> degraded_{false};
 
     WorkerPool *pool_;
     detail::StreamJob job_;
@@ -473,13 +540,6 @@ class StreamSession
      *  points here when a deadline is armed, so drains and backed-off
      *  producers observe it through stopRequested(). */
     CancelToken cancel_;
-    /** Chains retired so far — the monitor's progress signal. */
-    std::atomic<std::uint64_t> retired_{0};
-    /** True while the governor holds the session degraded: producers
-     *  stop blocking (soft bound) and open bins are force-sealed. */
-    std::atomic<bool> degraded_{false};
-    /** Seed mix-in so concurrent producers jitter independently. */
-    std::atomic<std::uint64_t> jitterSeed_{0};
     detail::RecoveryStats *recovery_;
     OverloadGovernor *governor_;
     std::mutex monMutex_;

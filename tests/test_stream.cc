@@ -201,7 +201,26 @@ TEST(Stream, BackpressureBoundHolds)
     EXPECT_EQ(executed, kProducers * kPerProducer);
     EXPECT_EQ(ran.load(), kProducers * kPerProducer);
     // No fork nests here, so the bound is exact, not just a target.
-    EXPECT_LE(s.streamStats().peakBacklog, kBound);
+    const StreamStats st = s.streamStats();
+    EXPECT_LE(st.peakBacklog, kBound);
+    EXPECT_GT(st.peakBacklog, 0u);
+
+    // The fork path writes no counter but its ticket: forked, backlog,
+    // peak and seals are derived from the ticket, retirement and ring
+    // words, and each bin's total is bumped once per seal. They must
+    // still balance against what ran.
+    EXPECT_EQ(st.forked, kProducers * kPerProducer);
+    EXPECT_EQ(st.executed, kProducers * kPerProducer);
+    EXPECT_EQ(st.backlog, 0u);
+    std::uint64_t threads = 0;
+    std::uint64_t epochs = 0;
+    for (const StreamBinReport &bin : s.lastStreamBins()) {
+        threads += bin.threads;
+        epochs += bin.epochs;
+    }
+    EXPECT_EQ(threads, kProducers * kPerProducer);
+    // Every seal closes one bin epoch and pushes one chain.
+    EXPECT_EQ(st.seals, epochs);
 }
 
 TEST(Stream, SealThresholdProducesEpochs)
@@ -386,6 +405,9 @@ TEST(Stream, TableGrowthAllocationFailureUnwindsInsteadOfWedging)
         forkIndex(i);
     EXPECT_THROW(forkIndex(kTrigger - 1), std::bad_alloc);
     fp::disarmAll();
+    // The failed fork handed its ticket back: it is neither forked nor
+    // pending.
+    EXPECT_EQ(s.streamStats().forked, kTrigger - 1);
 
     // The table survived the failed growth: the interrupted fork
     // retries fine, later creations grow the table for real, and the
@@ -395,6 +417,13 @@ TEST(Stream, TableGrowthAllocationFailureUnwindsInsteadOfWedging)
     EXPECT_EQ(s.streamEnd(), kTotal);
     for (unsigned i = 0; i < kTotal; ++i)
         ASSERT_EQ(flags.ran[i].load(), 1u) << "thread " << i;
+    const StreamStats st = s.streamStats();
+    EXPECT_EQ(st.forked, kTotal);
+    EXPECT_EQ(st.backlog, 0u);
+    std::uint64_t reported = 0;
+    for (const StreamBinReport &bin : s.lastStreamBins())
+        reported += bin.threads;
+    EXPECT_EQ(reported, kTotal);
 }
 
 TEST(Stream, AdmissionTimesOutInsteadOfHangingOnAWedgedPool)
@@ -441,11 +470,18 @@ TEST(Stream, AdmissionTimesOutInsteadOfHangingOnAWedgedPool)
     const RecoverySnapshot r = s.recoverySnapshot();
     EXPECT_GE(r.admissionRetries, 4u);
     EXPECT_EQ(r.admissionTimeouts, 1u);
+    // The timed-out fork refunded its ticket: only the two forks that
+    // returned count as forked.
+    EXPECT_EQ(s.streamStats().forked, 2u);
 
     // The stream is still healthy: once the stall clears, the wedged
     // epoch drains and the session closes normally.
     EXPECT_EQ(s.streamEnd(), 2u);
     EXPECT_EQ(ran.load(), 2u);
+    const StreamStats st = s.streamStats();
+    EXPECT_EQ(st.forked, 2u);
+    EXPECT_EQ(st.executed, 2u);
+    EXPECT_EQ(st.backlog, 0u);
     fp::disarmAll();
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablation C: the SMP extension (paper Section 7 future work), now
+ * Ablation C: the SMP extension (paper Section 7 future work),
  * benchmarking the persistent work-stealing pool itself.
  *
  * Workload: a deliberately skewed synthetic tour — bin b carries
@@ -9,13 +9,9 @@
  * stealing both matter. For every worker count the bench reports,
  * side by side:
  *
- *   cold s/tour  — SchedulerConfig::persistentPool = false: the
- *                  historic behavior, spawn + join fresh OS threads
- *                  every tour;
  *   warm setup   — the first tour on a persistent pool (includes
  *                  spawning the workers once);
  *   warm s/tour  — subsequent tours on the parked pool;
- *   speedup      — cold / warm per-tour time;
  *   serial s/tour — run() (no pool at all) on the same fork set;
  *   pool vs serial — serial / warm per-tour time: above 1x the pool
  *                  pays off at that width, below 1x it costs;
@@ -66,7 +62,7 @@ main(int argc, char **argv)
     using namespace lsched;
 
     Cli cli("ablation_smp",
-            "Ablation: persistent pool vs per-tour thread spawn");
+            "Ablation: persistent worker pool vs the serial tour");
     cli.addInt("bins", 32, "bins in the tour");
     cli.addInt("skew", 7, "bin b gets 1 + skew*(b%4) threads");
     cli.addInt("work", 50, "FMA iterations per thread");
@@ -113,22 +109,11 @@ main(int argc, char **argv)
         }
     };
 
-    TextTable table("", {"workers", "cold s/tour", "warm setup s",
-                         "warm s/tour", "speedup", "serial s/tour",
-                         "pool vs serial", "steals"});
+    TextTable table("", {"workers", "warm setup s", "warm s/tour",
+                         "serial s/tour", "pool vs serial", "steals"});
 
     for (unsigned w = 1; w <= max_workers; w *= 2) {
-        // Cold: a throwaway pool per tour (spawn + join every run).
-        cfg.persistentPool = false;
-        threads::LocalityScheduler cold(cfg);
-        forkAll(cold);
-        WallTimer coldTimer;
-        for (int t = 0; t < tours; ++t)
-            cold.runParallel(w, /*keep=*/true);
-        const double coldPerTour = coldTimer.seconds() / tours;
-
         // Warm: one persistent pool; its first tour pays the spawn.
-        cfg.persistentPool = true;
         threads::LocalityScheduler warm(cfg);
         forkAll(warm);
         WallTimer setupTimer;
@@ -147,9 +132,8 @@ main(int argc, char **argv)
         const double serialPerTour = serialTimer.seconds() / tours;
 
         table.addRow(
-            {TextTable::count(w), TextTable::num(coldPerTour, 6),
-             TextTable::num(setup, 6), TextTable::num(warmPerTour, 6),
-             TextTable::num(coldPerTour / warmPerTour, 2) + "x",
+            {TextTable::count(w), TextTable::num(setup, 6),
+             TextTable::num(warmPerTour, 6),
              TextTable::num(serialPerTour, 6),
              TextTable::num(serialPerTour / warmPerTour, 2) + "x",
              TextTable::count(warm.workerPoolStats().steals)});
@@ -157,9 +141,8 @@ main(int argc, char **argv)
     }
 
     std::printf("\n%s\n", table.toText().c_str());
-    std::printf("expected: warm s/tour beats cold s/tour once workers "
-                "> 1 — repeat tours on the parked pool pay no thread "
-                "creation; setup is a one-time cost\n");
+    std::printf("warm setup includes spawning the workers once; repeat "
+                "tours on the parked pool pay no thread creation\n");
     std::printf("pool vs serial > 1x means the pool beats run() on the "
                 "same fork set at that width\n");
 

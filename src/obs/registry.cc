@@ -96,12 +96,12 @@ Registry::rows() const
     std::vector<Row> out;
     out.reserve(counters_.size() + gauges_.size() + histograms_.size());
     for (const auto &[name, c] : counters_)
-        out.push_back({name, "counter", c->value(), 0, 0, 0, 0});
+        out.push_back({name, "counter", c->value(), 0, 0, 0, 0, {}});
     for (const auto &[name, g] : gauges_)
-        out.push_back({name, "gauge", g->value(), 0, 0, 0, 0});
+        out.push_back({name, "gauge", g->value(), 0, 0, 0, 0, {}});
     for (const auto &[name, h] : histograms_) {
         out.push_back({name, "histogram", h->count(), h->sum(), h->min(),
-                       h->max(), h->mean()});
+                       h->max(), h->mean(), {}});
         out.back().buckets.resize(Histogram::kBuckets);
         for (std::size_t i = 0; i < Histogram::kBuckets; ++i)
             out.back().buckets[i] = h->bucket(i);

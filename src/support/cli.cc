@@ -54,7 +54,7 @@ Cli::Cli(std::string program, std::string blurb)
               "program configures (blockhash|roundrobin|hierarchical)");
     addString("backend", "",
               "parallel execution backend for every scheduler this "
-              "program configures (serial|pooled|coldspawn)");
+              "program configures (serial|pooled)");
     addString("sched", "",
               "comma-separated key=value scheduler config overrides "
               "applied to every scheduler this program configures "

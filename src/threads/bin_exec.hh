@@ -3,8 +3,9 @@
  * THE bin-execution routine — the mechanism half of the scheduler.
  *
  * Every path that runs a bin's threads routes through executeBin():
- * the serial run() (streaming and ordered), every parallel backend
- * (execution.hh), and the fiber scheduler's queue drain. ErrorPolicy
+ * the serial run() (streaming and ordered, the latter through
+ * executeTour() below), the worker pool's tours, the stream drain,
+ * and the fiber scheduler's queue drain. ErrorPolicy
  * containment, BinStart/ThreadStart/ThreadEnd/BinEnd tracing, the
  * per-bin dwell metrics, and the "sched.bin.execute" fail-point site
  * therefore live in exactly one place; PRs that used to patch three
@@ -27,6 +28,8 @@
 
 #ifndef LSCHED_THREADS_BIN_EXEC_HH
 #define LSCHED_THREADS_BIN_EXEC_HH
+
+#include <vector>
 
 #include "obs/profile.hh"
 #include "obs/trace.hh"
@@ -194,7 +197,8 @@ executeBin(std::uint32_t binId, std::uint64_t announced, FaultCtx &ctx,
     }
     if (cancelled() && announced > executed + faulted) {
         // The cancellation cut this bin short mid-flight: account the
-        // un-run tail (bins never claimed are swept by the backends).
+        // un-run tail (bins never claimed are swept by executeTour()
+        // and the pool).
         noteCancelledBin(ctx, binId, worker,
                          announced - executed - faulted);
     }
@@ -221,6 +225,37 @@ executeBin(Bin *bin, FaultCtx &ctx, unsigned worker)
     GroupCursor cursor(bin);
     return executeBin(bin->id, bin->threadCount, ctx, worker, cursor,
                       bin->superBin);
+}
+
+/** Account a bin a cancellation dropped before it ran. */
+inline void
+noteDroppedBin(FaultCtx &ctx, const Bin *bin)
+{
+    if (bin->threadCount > 0)
+        noteCancelledBin(ctx, bin->id, 0, bin->threadCount);
+}
+
+/**
+ * Walk an ordered @p tour on the caller (worker 0): run()'s ordered
+ * branch and the Serial backend. Stops claiming bins once
+ * ctx.stopRequested(); a cancelled walk accounts its un-walked tail,
+ * as the pool's post-join deque sweep does. No ParallelWorkerScope:
+ * nested fork() on the caller is a recoverable UsageError, not the
+ * parallel data race the marker exists to make fatal. Returns the
+ * threads completed.
+ */
+inline std::uint64_t
+executeTour(const std::vector<Bin *> &tour, FaultCtx &ctx)
+{
+    std::uint64_t executed = 0;
+    std::size_t next = 0;
+    for (; next < tour.size() && !ctx.stopRequested(); ++next)
+        executed += executeBin(tour[next], ctx, 0);
+    if (ctx.cancelRequested()) {
+        for (; next < tour.size(); ++next)
+            noteDroppedBin(ctx, tour[next]);
+    }
+    return executed;
 }
 
 } // namespace lsched::threads::detail

@@ -495,8 +495,8 @@ th_set_backend(const char *name)
         recordError("th_set_backend: NULL name");
         return -1;
     }
-    // Shim: the key table also keeps persistentPool consistent, as
-    // the dedicated setter always did.
+    // Shim: the key table rejects unknown names (the removed
+    // "coldspawn" among them) with its token-list message.
     return th_configure("backend", name);
 }
 
@@ -698,10 +698,9 @@ th_set_placement_(const int *kind)
 void
 th_set_backend_(const int *kind)
 {
-    static const char *const names[] = {"serial", "pooled",
-                                        "coldspawn"};
-    if (!kind || *kind < 0 || *kind > 2) {
-        recordError("th_set_backend: kind must be 0..2");
+    static const char *const names[] = {"serial", "pooled"};
+    if (!kind || *kind < 0 || *kind > 1) {
+        recordError("th_set_backend: kind must be 0..1");
         return;
     }
     th_set_backend(names[*kind]);

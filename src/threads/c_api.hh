@@ -63,8 +63,8 @@ void th_run(int keep);
  * Run all scheduled threads across @p workers CPUs (Section 7);
  * workers == 0 uses the hardware concurrency, workers <= 1 falls back
  * to the serial th_run. The worker pool persists between calls (see
- * SchedulerConfig::persistentPool), so repeat tours pay no thread
- * creation cost.
+ * SchedulerConfig::backend), so repeat tours pay no thread creation
+ * cost.
  */
 void th_run_parallel(int workers, int keep);
 
@@ -107,8 +107,9 @@ typedef struct th_stats_t
     /** Active placement policy: 0 blockhash, 1 roundrobin,
      *  2 hierarchical (see th_set_placement). */
     int placement;
-    /** Active execution backend: 0 serial, 1 pooled, 2 coldspawn
-     *  (see th_set_backend). */
+    /** Active execution backend: 0 serial, 1 pooled (see
+     *  th_set_backend). 2 named the spawn-per-tour backend, which is
+     *  gone; it is no longer reported. */
     int backend;
     /** Distribution over non-empty bins; all 0 when no bin is. */
     double threads_per_bin_mean;
@@ -145,9 +146,9 @@ typedef struct th_stats_t
      *  admissions that exhausted stream_admit_retries. */
     unsigned long long recover_admission_retries;
     unsigned long long recover_admission_timeouts;
-    /** Overload governor: load-shedding episodes (force-sealed stream
-     *  shards), tours stepped down to the serial path, and completed
-     *  Degraded -> Recovered transitions. */
+    /** Overload governor: load-shedding episodes (force-sealed open
+     *  stream bins), tours stepped down to the serial path, and
+     *  completed Degraded -> Recovered transitions. */
     unsigned long long recover_load_sheds;
     unsigned long long recover_degraded_tours;
     unsigned long long recover_recoveries;
@@ -302,8 +303,9 @@ int th_set_placement(const char *name);
 
 /**
  * Select the execution backend of the global scheduler by name
- * ("serial", "pooled", "coldspawn"). Shim over
- * th_configure("backend", name). Returns 0 on success, -1 on error.
+ * ("serial", "pooled"). Shim over th_configure("backend", name).
+ * Returns 0 on success, -1 on error. The removed spawn-per-tour
+ * backend's name, "coldspawn", is rejected like any unknown name.
  *
  * @deprecated Call th_configure("backend", name) directly; the shim
  * survives for compatibility only. See the README deprecation table.
@@ -459,8 +461,8 @@ void th_run_parallel_(const int *workers, const int *keep);
  *  string lengths). */
 void th_set_placement_(const int *kind);
 
-/** Fortran: CALL TH_SET_BACKEND(KIND) — 0 serial, 1 pooled,
- *  2 coldspawn. */
+/** Fortran: CALL TH_SET_BACKEND(KIND) — 0 serial, 1 pooled; any
+ *  other KIND (2 once named coldspawn) is rejected. */
 void th_set_backend_(const int *kind);
 
 /** Fortran: CALL TH_SET_DEADLINE(MILLIS) — MILLIS is INTEGER*8;

@@ -286,7 +286,8 @@ class ConcurrentBinTable
      * @param dims scheduling-space dimensionality.
      * @param buckets initial slot count (rounded up to a power of
      *        two, minimum kMinSlots).
-     * @param idBase offset added to every bin id (shard id spaces).
+     * @param idBase offset added to every bin id, keeping stream
+     *        bin ids apart from the batch table's.
      */
     ConcurrentBinTable(unsigned dims, std::size_t buckets,
                        std::uint32_t idBase = 0)

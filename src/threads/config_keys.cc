@@ -287,14 +287,8 @@ applyConfigKey(SchedulerConfig &config, const std::string &rawKey,
     } else if (key == "backend") {
         BackendKind kind;
         if (!tryBackendFromName(value, &kind))
-            return badValue(error, key, value,
-                            "serial|pooled|coldspawn");
+            return badValue(error, key, value, "serial|pooled");
         config.backend = kind;
-        // The legacy knob pair stays consistent both ways, exactly as
-        // th_set_backend always kept it: picking pooled back on must
-        // re-enable the persistent pool validated() would otherwise
-        // fold the backend away with.
-        config.persistentPool = kind != BackendKind::ColdSpawn;
     } else if (key == "round_robin_bins") {
         if (!parseU64(value, &u))
             return badValue(error, key, value,
@@ -356,19 +350,10 @@ applyConfigKey(SchedulerConfig &config, const std::string &rawKey,
             return badValue(error, key, value,
                             "a positive epoch count");
         config.recoverEpochs = static_cast<unsigned>(u);
-    } else if (key == "persistent_pool") {
-        if (!parseBool(value, &b))
-            return badValue(error, key, value, "a boolean");
-        config.persistentPool = b;
     } else if (key == "pin_workers") {
         if (!parseBool(value, &b))
             return badValue(error, key, value, "a boolean");
         config.pinWorkers = b;
-    } else if (key == "stream_shards") {
-        if (!parseU64(value, &u) || u > 0xffffffffull)
-            return badValue(error, key, value,
-                            "a shard count (0 = default)");
-        config.streamShards = static_cast<unsigned>(u);
     } else if (key == "stream_max_pending") {
         if (!parseU64(value, &u))
             return badValue(error, key, value,
@@ -488,12 +473,8 @@ configKeyValue(const SchedulerConfig &config,
         *out = std::to_string(config.overloadEpochs);
     else if (key == "recover_epochs")
         *out = std::to_string(config.recoverEpochs);
-    else if (key == "persistent_pool")
-        *out = config.persistentPool ? "1" : "0";
     else if (key == "pin_workers")
         *out = config.pinWorkers ? "1" : "0";
-    else if (key == "stream_shards")
-        *out = std::to_string(config.streamShards);
     else if (key == "stream_max_pending")
         *out = std::to_string(config.streamMaxPending);
     else if (key == "stream_seal_threshold")
@@ -546,9 +527,7 @@ configKeys()
         "stream_admit_retries",
         "overload_epochs",
         "recover_epochs",
-        "persistent_pool",
         "pin_workers",
-        "stream_shards",
         "stream_max_pending",
         "stream_seal_threshold",
         "adapt.base",

@@ -47,9 +47,7 @@ struct SchedulerConfig;
  * Set the field @p key names on @p config from the string @p value.
  * Returns false — with a caller-facing message in @p error, when
  * non-null — on an unknown key or an unparsable value; @p config is
- * untouched on failure. Cross-field consistency (e.g. "backend"
- * keeping persistentPool in sync) is applied here, so the result is
- * what the legacy setters would have produced.
+ * untouched on failure.
  */
 bool applyConfigKey(SchedulerConfig &config, const std::string &key,
                     const std::string &value, std::string *error);

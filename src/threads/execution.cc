@@ -1,8 +1,7 @@
 /**
  * @file
- * Execution backends (execution.hh) and the selection-layer glue: the
- * worker thread-local marker fork() checks, the shared pool callback
- * every parallel backend routes through, and the --placement/
+ * Execution backend selection (execution.hh): the backend names, the
+ * worker thread-local marker fork() checks, and the --placement/
  * --backend/--sched CLI hook.
  */
 
@@ -10,7 +9,6 @@
 
 #include "support/cli.hh"
 #include "support/panic.hh"
-#include "threads/bin_exec.hh"
 #include "threads/config_keys.hh"
 #include "threads/scheduler.hh"
 
@@ -21,144 +19,6 @@ namespace
 {
 
 thread_local bool t_inParallelWorker = false;
-
-/**
- * The one pool callback (PoolJob::execute) behind every parallel
- * backend. The thread-local marker covers exactly the span where user
- * threads run, so fork() can reject the unsynchronized-ready-list
- * race from any pool worker, persistent or cold. Under
- * ErrorPolicy::Abort executeBin() does not contain: an escaped
- * exception hits the worker-thread boundary (std::terminate on a
- * helper; rethrown on the caller for worker 0).
- */
-std::uint64_t
-poolExecute(Bin *bin, unsigned worker, void *ctxRaw)
-{
-    auto *fault = static_cast<detail::FaultCtx *>(ctxRaw);
-    detail::ParallelWorkerScope in_worker;
-    return detail::executeBin(bin, *fault, worker);
-}
-
-/** PoolJob::cancelledBin — account a bin the cancellation dropped. */
-void
-poolCancelled(Bin *bin, void *ctxRaw)
-{
-    auto *fault = static_cast<detail::FaultCtx *>(ctxRaw);
-    if (bin->threadCount > 0)
-        detail::noteCancelledBin(*fault, bin->id, 0, bin->threadCount);
-}
-
-/** Translate a TourSpec into the pool's job structure. */
-void
-initJob(detail::PoolJob &job, TourSpec &spec)
-{
-    job.tour = spec.tour;
-    job.bins = spec.bins;
-    job.workers = spec.workers;
-    job.execute = &poolExecute;
-    job.ctx = spec.fault;
-    job.stop = spec.fault->policy == ErrorPolicy::StopTour
-                   ? &spec.fault->stop
-                   : nullptr;
-    job.cancel = spec.fault->cancel;
-    job.cancelledBin = &poolCancelled;
-    job.currentBin = spec.currentBin;
-    job.honorSuperBins = spec.honorSuperBins;
-    job.binDomain = spec.binDomain;
-    job.workerDomain = spec.workerDomain;
-    job.domains = spec.domains;
-}
-
-/** The caller walks the tour alone, in order. */
-class SerialBackend final : public ExecutionBackend
-{
-  public:
-    std::uint64_t
-    runTour(TourSpec &spec) override
-    {
-        // No ParallelWorkerScope: a serial tour runs on the caller,
-        // where nested fork() is a recoverable UsageError (or legal,
-        // in run()'s streaming mode) — not the parallel data race the
-        // marker exists to make fatal.
-        std::uint64_t executed = 0;
-        std::size_t next = 0;
-        for (; next < spec.bins; ++next) {
-            if (spec.fault->stopRequested())
-                break;
-            Bin *bin = spec.tour[next];
-            if (spec.currentBin) {
-                spec.currentBin[0].store(bin->id,
-                                         std::memory_order_relaxed);
-            }
-            executed += detail::executeBin(bin, *spec.fault, 0);
-            if (spec.currentBin) {
-                spec.currentBin[0].store(detail::kWorkerIdle,
-                                         std::memory_order_relaxed);
-            }
-        }
-        if (spec.fault->cancelRequested()) {
-            // Account the un-walked tail; the parallel backends do the
-            // same with their post-join deque sweep.
-            for (; next < spec.bins; ++next)
-                poolCancelled(spec.tour[next], spec.fault);
-        }
-        if (spec.currentBin) {
-            spec.currentBin[0].store(detail::kWorkerDone,
-                                     std::memory_order_relaxed);
-        }
-        return executed;
-    }
-
-    BackendKind kind() const override { return BackendKind::Serial; }
-};
-
-/** The persistent work-stealing pool (worker_pool.hh). */
-class PooledBackend final : public ExecutionBackend
-{
-  public:
-    std::uint64_t
-    runTour(TourSpec &spec) override
-    {
-        LSCHED_ASSERT(spec.pool != nullptr,
-                      "pooled tour without a worker pool");
-        detail::PoolJob job;
-        initJob(job, spec);
-        spec.pool->runTour(job);
-        return job.executed.load(std::memory_order_relaxed);
-    }
-
-    BackendKind kind() const override { return BackendKind::Pooled; }
-};
-
-/**
- * Historic cold path: a throwaway pool, so every tour pays thread
- * creation/join — the baseline ablation_smp compares the warm pool
- * against. The pool's lifetime counters fold into the scheduler's
- * retired-pool statistics, success or throw.
- */
-class ColdSpawnBackend final : public ExecutionBackend
-{
-  public:
-    std::uint64_t
-    runTour(TourSpec &spec) override
-    {
-        LSCHED_ASSERT(spec.retiredStats != nullptr,
-                      "cold-spawn tour without a stats sink");
-        detail::PoolJob job;
-        initJob(job, spec);
-        WorkerPool cold(spec.pinWorkers, spec.pinPlan);
-        try {
-            cold.runTour(job);
-        } catch (...) {
-            *spec.retiredStats += cold.stats();
-            throw;
-        }
-        *spec.retiredStats += cold.stats();
-        return job.executed.load(std::memory_order_relaxed);
-    }
-
-    BackendKind kind() const override { return BackendKind::ColdSpawn; }
-};
 
 std::vector<std::pair<std::string, std::string>> g_schedOverrides;
 
@@ -247,8 +107,6 @@ schedOverrides()
 
 } // namespace detail
 
-ExecutionBackend::~ExecutionBackend() = default;
-
 const char *
 backendName(BackendKind kind)
 {
@@ -257,8 +115,6 @@ backendName(BackendKind kind)
         return "serial";
       case BackendKind::Pooled:
         return "pooled";
-      case BackendKind::ColdSpawn:
-        return "coldspawn";
     }
     return "?";
 }
@@ -270,8 +126,6 @@ tryBackendFromName(const std::string &name, BackendKind *out)
         *out = BackendKind::Serial;
     else if (name == "pooled")
         *out = BackendKind::Pooled;
-    else if (name == "coldspawn")
-        *out = BackendKind::ColdSpawn;
     else
         return false;
     return true;
@@ -283,26 +137,9 @@ backendFromName(const std::string &name)
     BackendKind kind;
     if (!tryBackendFromName(name, &kind)) {
         LSCHED_FATAL("unknown execution backend '", name,
-                     "' (want serial|pooled|coldspawn)");
+                     "' (want serial|pooled)");
     }
     return kind;
-}
-
-ExecutionBackend &
-executionBackend(BackendKind kind)
-{
-    static SerialBackend serial;
-    static PooledBackend pooled;
-    static ColdSpawnBackend coldSpawn;
-    switch (kind) {
-      case BackendKind::Serial:
-        return serial;
-      case BackendKind::Pooled:
-        return pooled;
-      case BackendKind::ColdSpawn:
-        return coldSpawn;
-    }
-    LSCHED_PANIC("unhandled BackendKind ", static_cast<int>(kind));
 }
 
 } // namespace lsched::threads

@@ -1,38 +1,29 @@
 /**
  * @file
- * The execution layer: *how* an ordered bin tour is run.
+ * Execution backend selection: *how* an ordered bin tour is run.
  *
  * Complementing the placement layer (placement.hh — where a fork
- * goes), an ExecutionBackend takes a tour the scheduler has already
- * ordered and executes every bin exactly once, all of them through
- * the one executeBin() routine (bin_exec.hh):
+ * goes), SchedulerConfig::backend picks who walks a tour the scheduler
+ * has already ordered. Every bin runs exactly once, through the one
+ * executeBin() routine (bin_exec.hh), whichever backend is selected:
  *
- *  - SerialBackend — one worker (the caller) walks the tour in order;
- *    also the body of run()'s ordered branch.
- *  - PooledBackend — the persistent work-stealing pool
- *    (worker_pool.hh): workers parked between tours, occupancy-
- *    weighted contiguous partition, tail stealing.
- *  - ColdSpawnBackend — the historic spawn-per-tour baseline: a
- *    throwaway WorkerPool whose statistics fold into the scheduler's
- *    retired-pool totals.
+ *  - Serial — the caller walks the tour in order (executeTour(), the
+ *    body of run()'s ordered branch); runParallel() falls back to it.
+ *  - Pooled — the persistent work-stealing pool (worker_pool.hh):
+ *    workers parked between tours, occupancy-weighted contiguous
+ *    partition, tail stealing. runParallel() hands it a PoolJob.
  *
- * Backends are stateless singletons; all per-tour state travels in
- * the TourSpec. runParallel() (and run()) reduce to building a spec
- * and dispatching — policy and mechanism meet only here.
+ * This header also carries the --placement/--backend/--sched CLI
+ * overrides that every scheduler replays at configuration time.
  */
 
 #ifndef LSCHED_THREADS_EXECUTION_HH
 #define LSCHED_THREADS_EXECUTION_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "threads/fault.hh"
-#include "threads/placement.hh"
-#include "threads/worker_pool.hh"
 
 namespace lsched::threads
 {
@@ -44,11 +35,9 @@ enum class BackendKind : std::uint8_t
     Serial,
     /** Persistent work-stealing worker pool (the default). */
     Pooled,
-    /** Spawn-and-join a throwaway pool per tour (baseline). */
-    ColdSpawn,
 };
 
-/** Printable name of a backend ("serial", "pooled", "coldspawn"). */
+/** Printable name of a backend ("serial", "pooled"). */
 const char *backendName(BackendKind kind);
 
 /** Parse a backend name; false (and *out untouched) when unknown. */
@@ -56,62 +45,6 @@ bool tryBackendFromName(const std::string &name, BackendKind *out);
 
 /** Parse a backend name; fatal on an unknown one (CLI path). */
 BackendKind backendFromName(const std::string &name);
-
-/** Everything one tour hands its backend. */
-struct TourSpec
-{
-    /** The ordered bin tour (owned by the caller, outlives the tour). */
-    Bin *const *tour = nullptr;
-    std::size_t bins = 0;
-    /** Workers to distribute over (>= 1; the caller is worker 0). */
-    unsigned workers = 1;
-    /** Shared fault state; its policy selects containment. */
-    detail::FaultCtx *fault = nullptr;
-    /** Pin helper threads over CPUs (ColdSpawn pool construction). */
-    bool pinWorkers = false;
-    /** Never split a super-bin across workers (TopologyPlacement;
-     *  the tour must already be grouped — see groupBySuperBins). */
-    bool honorSuperBins = false;
-    /**
-     * Cache-domain affinity (topology-aware tours; all unset when the
-     * topology is flat or pinning is off): binDomain[i] is the L2
-     * domain of tour[i] — the tour must already be sorted so each
-     * domain's bins are one contiguous run — and workerDomain[w] the
-     * domain worker w is pinned into; both sized by the caller and
-     * outliving the tour. domains is the active domain count.
-     */
-    const std::uint32_t *binDomain = nullptr;
-    const std::uint32_t *workerDomain = nullptr;
-    std::uint32_t domains = 0;
-    /** Domain-major CPU order for ColdSpawn pinning (empty = id %
-     *  cpus legacy order); see CacheTopology::pinPlan(). */
-    std::vector<unsigned> pinPlan;
-    /** Persistent pool to run on (Pooled; null otherwise). */
-    WorkerPool *pool = nullptr;
-    /** Where a throwaway pool's stats fold (ColdSpawn; null else). */
-    WorkerPoolStats *retiredStats = nullptr;
-    /** Watchdog slots, one per worker; may be null. */
-    std::atomic<std::int64_t> *currentBin = nullptr;
-};
-
-/** Runs an ordered tour; every bin through executeBin() exactly once. */
-class ExecutionBackend
-{
-  public:
-    virtual ~ExecutionBackend();
-
-    /** Execute @p spec's tour; returns the threads completed. */
-    virtual std::uint64_t runTour(TourSpec &spec) = 0;
-
-    /** Which backend this is. */
-    virtual BackendKind kind() const = 0;
-
-    /** Printable backend name. */
-    const char *name() const { return backendName(kind()); }
-};
-
-/** The (stateless, process-shared) backend instance for @p kind. */
-ExecutionBackend &executionBackend(BackendKind kind);
 
 namespace detail
 {

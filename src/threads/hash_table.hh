@@ -29,8 +29,8 @@ namespace lsched::threads
 
 /**
  * Mix @p coords into a 64-bit hash (splitmix64-style per coordinate).
- * Exposed as a free function so the streaming intake can shard a fork
- * by coordinate hash *before* picking which shard's BinTable to lock.
+ * Shared by the batch BinTable and the streaming intake's
+ * ConcurrentBinTable, whose callers hash once per fork.
  */
 inline std::uint64_t
 hashCoords(const BlockCoords &coords, unsigned dims)
@@ -57,13 +57,9 @@ class BinTable
      * @param dims scheduling-space dimensionality.
      * @param buckets initial slot count (rounded up to a power of
      *        two, minimum kMinSlots).
-     * @param idBase offset added to every bin id, so bins from several
-     *        tables (the streaming intake shards) stay distinguishable
-     *        in traces and fault reports.
      */
-    BinTable(unsigned dims, std::size_t buckets,
-             std::uint32_t idBase = 0)
-        : dims_(dims), idBase_(idBase),
+    BinTable(unsigned dims, std::size_t buckets)
+        : dims_(dims),
           mask_(roundUpPowerOfTwo(
                     buckets < kMinSlots ? kMinSlots : buckets) -
                 1),
@@ -85,18 +81,7 @@ class BinTable
     findOrCreate(const BlockCoords &coords,
                  std::uint32_t *probes = nullptr)
     {
-        return findOrCreateHashed(coords, hash(coords), probes);
-    }
-
-    /**
-     * findOrCreate() with the hash precomputed by the caller (via
-     * hashCoords()) — the streaming intake hashes once to pick a
-     * shard, then reuses the value here instead of re-mixing.
-     */
-    std::pair<Bin *, bool>
-    findOrCreateHashed(const BlockCoords &coords, std::uint64_t h,
-                       std::uint32_t *probes = nullptr)
-    {
+        const std::uint64_t h = hash(coords);
         std::size_t i = h & mask_;
         std::uint32_t walked = 1;
         for (; slots_[i]; i = (i + 1) & mask_, ++walked) {
@@ -115,7 +100,7 @@ class BinTable
         Bin *b = &bins_.back();
         b->coords = coords;
         b->hashVal = h;
-        b->id = idBase_ + static_cast<std::uint32_t>(bins_.size() - 1);
+        b->id = static_cast<std::uint32_t>(bins_.size() - 1);
         slots_[i] = b;
         if (probes)
             *probes = walked;
@@ -205,7 +190,6 @@ class BinTable
     }
 
     unsigned dims_;
-    std::uint32_t idBase_ = 0;
     std::size_t mask_;
     std::vector<Bin *> slots_;
     std::deque<Bin> bins_;

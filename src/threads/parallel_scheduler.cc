@@ -1,17 +1,16 @@
 /**
  * @file
- * SMP extension of the locality scheduler (paper Section 7) — now a
- * thin dispatcher over the execution layer.
+ * SMP extension of the locality scheduler (paper Section 7).
  *
  * Bins are the unit of distribution: a worker always runs a whole bin
  * so the per-bin working-set property carries over to each CPU's own
  * cache. runParallel() orders the tour (grouping super-bins together
  * under a hierarchical placement), arms the optional stall watchdog,
- * and hands a TourSpec to the configured ExecutionBackend
- * (execution.hh) — the pooled work-stealing default, the cold
- * spawn-per-tour baseline, or the serial fallback. All bin execution,
- * fault containment (ErrorPolicy), tracing, and fail-point sites live
- * in the one executeBin() routine (bin_exec.hh) the backends share.
+ * and hands the tour to the persistent work-stealing pool
+ * (worker_pool.hh) as a PoolJob; the Serial backend and one-worker
+ * calls fall back to run(). All bin execution, fault containment
+ * (ErrorPolicy), tracing, and fail-point sites live in the one
+ * executeBin() routine (bin_exec.hh) the pool's callback calls.
  *
  * The tour monitor (threads/recovery.hh) supervises each parallel
  * tour: SchedulerConfig::deadlineMillis arms a hard deadline whose
@@ -31,7 +30,7 @@
 #include "obs/profile.hh"
 #include "support/error.hh"
 #include "support/panic.hh"
-#include "threads/execution.hh"
+#include "threads/bin_exec.hh"
 #include "threads/placement.hh"
 #include "threads/recovery.hh"
 #include "threads/sched_obs.hh"
@@ -51,10 +50,31 @@ backendToursCounter(BackendKind kind)
     static obs::Counter *const counters[] = {
         &obs::Registry::global().counter("sched.backend.serial.tours"),
         &obs::Registry::global().counter("sched.backend.pooled.tours"),
-        &obs::Registry::global().counter(
-            "sched.backend.coldspawn.tours"),
     };
     return *counters[static_cast<std::size_t>(kind)];
+}
+
+/**
+ * PoolJob::execute: run one bin on a pool worker. The thread-local
+ * marker covers exactly the span where user threads run, so fork()
+ * can reject the unsynchronized-ready-list race from any pool worker.
+ * Under ErrorPolicy::Abort executeBin() does not contain: an escaped
+ * exception hits the worker-thread boundary (std::terminate on a
+ * helper; rethrown on the caller for worker 0).
+ */
+std::uint64_t
+poolExecute(Bin *bin, unsigned worker, void *ctxRaw)
+{
+    detail::ParallelWorkerScope in_worker;
+    return detail::executeBin(
+        bin, *static_cast<detail::FaultCtx *>(ctxRaw), worker);
+}
+
+/** PoolJob::cancelledBin — account a bin the cancellation dropped. */
+void
+poolCancelled(Bin *bin, void *ctxRaw)
+{
+    detail::noteDroppedBin(*static_cast<detail::FaultCtx *>(ctxRaw), bin);
 }
 
 } // namespace
@@ -169,33 +189,28 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
         currentBin[w].store(detail::kWorkerIdle,
                             std::memory_order_relaxed);
 
-    TourSpec spec;
-    spec.tour = tour.data();
-    spec.bins = tour.size();
-    spec.workers = workers;
-    spec.fault = &ctx;
-    spec.pinWorkers = config_.pinWorkers;
-    spec.honorSuperBins = superBins;
-    spec.currentBin = currentBin.get();
-    if (domains > 0) {
-        spec.binDomain = binDomain.data();
-        spec.workerDomain = workerDomain.data();
-        spec.domains = domains;
+    if (!workerPool_) {
+        workerPool_ = std::make_unique<WorkerPool>(
+            config_.pinWorkers,
+            topo_ ? topo_->pinPlan() : std::vector<unsigned>{});
     }
-    if (config_.backend == BackendKind::Pooled) {
-        if (!workerPool_) {
-            workerPool_ = std::make_unique<WorkerPool>(
-                config_.pinWorkers,
-                topo_ ? topo_->pinPlan() : std::vector<unsigned>{});
-        }
-        spec.pool = workerPool_.get();
-    } else {
-        spec.retiredStats = &retiredPoolStats_;
-        if (topo_)
-            spec.pinPlan = topo_->pinPlan();
+    detail::PoolJob job;
+    job.tour = tour.data();
+    job.bins = tour.size();
+    job.workers = workers;
+    job.execute = &poolExecute;
+    job.ctx = &ctx;
+    job.stop = ctx.policy == ErrorPolicy::StopTour ? &ctx.stop : nullptr;
+    job.cancel = ctx.cancel;
+    job.cancelledBin = &poolCancelled;
+    job.currentBin = currentBin.get();
+    job.honorSuperBins = superBins;
+    if (domains > 0) {
+        job.binDomain = binDomain.data();
+        job.workerDomain = workerDomain.data();
+        job.domains = domains;
     }
 
-    std::uint64_t executed = 0;
     {
         detail::TourMonitorSpec mspec;
         mspec.deadlineMillis = config_.deadlineMillis;
@@ -206,8 +221,10 @@ LocalityScheduler::runParallel(unsigned workers, bool keep)
         mspec.currentBin = currentBin.get();
         mspec.workers = workers;
         detail::TourMonitor monitor(mspec);
-        executed = executionBackend(config_.backend).runTour(spec);
+        workerPool_->runTour(job);
     }
+    const std::uint64_t executed =
+        job.executed.load(std::memory_order_relaxed);
 
     const bool cancelled = ctx.cancelRequested();
     if (governor_.enabled())

@@ -218,15 +218,6 @@ validated(SchedulerConfig config,
         if (!applyConfigKey(config, key, value, &error))
             throw ConfigError(error);
     }
-    // The legacy persistentPool knob and the backend enum describe the
-    // same choice; keep them mutually consistent, with the backend
-    // winning when it was set away from the default.
-    if (config.backend == BackendKind::ColdSpawn)
-        config.persistentPool = false;
-    else if (config.backend == BackendKind::Pooled &&
-             !config.persistentPool)
-        config.backend = BackendKind::ColdSpawn;
-
     if (config.dims < 1 || config.dims > kMaxDims) {
         throw ConfigError(lsched::detail::concatMessage(
             "dims must be in [1, ", kMaxDims, "], got ", config.dims));
@@ -342,9 +333,9 @@ LocalityScheduler::configure(const SchedulerConfig &config)
     pool_ = GroupPool(config_.groupCapacity);
     readyHead_ = nullptr;
     readyTail_ = nullptr;
-    // Retire the worker pool so pool-affecting knobs (pinWorkers,
-    // persistentPool) take effect on the next parallel tour; its
-    // lifetime counters carry over.
+    // Retire the worker pool so pinWorkers and the topology's pin
+    // plan take effect on the next parallel tour; its lifetime
+    // counters carry over.
     if (workerPool_) {
         retiredPoolStats_ += workerPool_->stats();
         workerPool_.reset();
@@ -410,7 +401,7 @@ LocalityScheduler::fork(ThreadFn fn, void *arg1, void *arg2,
             "forking, or fork from producer threads in a stream.");
     }
     if (stream_) {
-        // Streaming mode: admission goes to the sharded intake, which
+        // Streaming mode: admission goes to the stream's intake, which
         // is safe from any OS thread (and may block at the
         // backpressure bound).
         stream_->fork(fn, arg1, arg2, hints);
@@ -528,13 +519,9 @@ LocalityScheduler::run(bool keep)
         if (ctx.stopRequested()) {
             if (ctx.cancelRequested()) {
                 // Account the bins the cancellation left on the ready
-                // list (the backend sweeps only bins it was handed).
-                for (Bin *bin = readyHead_; bin; bin = bin->readyNext) {
-                    if (bin->threadCount > 0) {
-                        detail::noteCancelledBin(ctx, bin->id, 0,
-                                                 bin->threadCount);
-                    }
-                }
+                // list (executeTour sweeps only bins it was handed).
+                for (Bin *bin = readyHead_; bin; bin = bin->readyNext)
+                    detail::noteDroppedBin(ctx, bin);
                 if (config_.onError == ErrorPolicy::ContinueAndCollect) {
                     // This path returns normally: drop the remainder
                     // now so the scheduler comes back clean.
@@ -555,18 +542,9 @@ LocalityScheduler::run(bool keep)
             orderBins(config_.tour, readyBins(), config_.dims);
         if (obs::metricsOn())
             detail::recordTourHops(tour, config_.dims);
-        // The ordered tour is exactly a one-worker tour: delegate to
-        // the serial execution backend so this path and runParallel()
-        // share one mechanism.
-        TourSpec spec;
-        spec.tour = tour.data();
-        spec.bins = tour.size();
-        spec.workers = 1;
-        spec.fault = &ctx;
-        executed +=
-            executionBackend(BackendKind::Serial).runTour(spec);
+        executed += detail::executeTour(tour, ctx);
         // A cancelled ContinueAndCollect run returns normally, so its
-        // remainder (already accounted by the backend's sweep) must be
+        // remainder (already accounted by executeTour's sweep) must be
         // recycled here like any completed tour's.
         const bool cancelledButReturning =
             ctx.cancelRequested() &&
@@ -686,11 +664,6 @@ LocalityScheduler::streamEnd()
     // adaptive placement before the next run begins.
     placement_->maybeRetune();
     placeHot_ = placement_->hotPolicy();
-    if (!config_.persistentPool && workerPool_) {
-        // Cold-spawn semantics: no threads stay parked between runs.
-        retiredPoolStats_ += workerPool_->stats();
-        workerPool_.reset();
-    }
     LSCHED_TRACE_EVENT(obs::EventType::RunEnd, s.executed);
     if (abortError)
         std::rethrow_exception(abortError);

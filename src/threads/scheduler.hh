@@ -64,7 +64,8 @@ struct SchedulerConfig
     std::uint64_t cacheBytes = 2 * 1024 * 1024;
     /** Block dimension size; 0 selects cacheBytes / dims. */
     std::uint64_t blockBytes = 0;
-    /** Hash table buckets (rounded up to a power of two). */
+    /** Hash table buckets (rounded up to a power of two); the batch
+     *  table and the streaming intake table each start this large. */
     std::size_t hashBuckets = 4096;
     /** Threads per thread group (amortization chunk). */
     std::uint32_t groupCapacity = 64;
@@ -80,8 +81,9 @@ struct SchedulerConfig
     PlacementKind placement = PlacementKind::BlockHash;
     /**
      * Parallel execution backend (execution.hh). Pooled is the
-     * persistent work-stealing pool; ColdSpawn the spawn-per-tour
-     * baseline (implies persistentPool == false); Serial makes
+     * persistent work-stealing pool: its OS threads are created once,
+     * at the first parallel tour or stream, and parked between them
+     * until the scheduler is destroyed or reconfigured. Serial makes
      * runParallel() run the tour on the caller alone. Overridable per
      * process with the --backend CLI flag.
      */
@@ -160,26 +162,12 @@ struct SchedulerConfig
      *  back up. */
     unsigned recoverEpochs = 2;
     /**
-     * Keep runParallel()'s workers parked between tours (the default):
-     * OS threads are created once, at the first parallel tour, and
-     * reused until the scheduler is destroyed or reconfigured. false
-     * restores the historic cold path — spawn and join a fresh set of
-     * threads every tour — kept for comparison (bench/ablation_smp).
-     */
-    bool persistentPool = true;
-    /**
      * Pin pool workers round-robin over CPUs (Linux; elsewhere a
      * no-op). Keeps a worker's bins — and their cached working sets —
      * on one CPU across tours, at the price of ceding load balancing
      * to the OS-level mix.
      */
     bool pinWorkers = false;
-    /**
-     * Streaming (streamBegin/runStream) intake shards: independent
-     * lock+BinTable+GroupPool units producers spread over by
-     * coordinate hash. 0 selects StreamSession::kDefaultShards.
-     */
-    unsigned streamShards = 0;
     /**
      * Streaming backpressure bound: the most admitted-but-unexecuted
      * threads a stream may hold. At the bound a producer drains a
@@ -559,7 +547,7 @@ class LocalityScheduler
     GroupPool pool_;
     /** Persistent parallel workers; created at first runParallel(). */
     std::unique_ptr<WorkerPool> workerPool_;
-    /** Stats of pools retired by cold tours or reconfiguration. */
+    /** Stats of pools retired by reconfiguration. */
     WorkerPoolStats retiredPoolStats_;
 
     Bin *readyHead_ = nullptr;

@@ -1,6 +1,6 @@
 /**
  * @file
- * StreamSession implementation: lock-free sharded intake, seal/epoch
+ * StreamSession implementation: lock-free intake table, seal/epoch
  * hand-off, ticket backpressure, and the drain loops. See stream.hh
  * and DESIGN.md §16 for the design.
  */
@@ -63,6 +63,7 @@ StreamSession::StreamSession(const SchedulerConfig &config,
       placement_(placement),
       placementStateless_(placement.stateless()),
       placementAdaptive_(placement.kind() == PlacementKind::Adaptive),
+      table_(config.dims, config.hashBuckets, kStreamIdBase),
       groupPool_(config.groupCapacity),
       fault_(config.onError, &faults_),
       pool_(pool),
@@ -72,20 +73,6 @@ StreamSession::StreamSession(const SchedulerConfig &config,
     fault_.recovery = recovery_;
     if (deadlineMillis_ > 0)
         fault_.cancel = &cancel_;
-    const unsigned shardCount =
-        config.streamShards ? config.streamShards : kDefaultShards;
-    // Split the configured bucket budget over the shards; each shard
-    // still grows independently past 3/4 load.
-    const std::size_t bucketsPerShard =
-        std::max<std::size_t>(ConcurrentBinTable::kMinSlots,
-                              config.hashBuckets / shardCount);
-    shards_.reserve(shardCount);
-    for (unsigned i = 0; i < shardCount; ++i) {
-        // Disjoint id spaces per shard (and away from the batch
-        // table's 0-based ids) keep trace/fault bin ids unambiguous.
-        shards_.push_back(std::make_unique<Shard>(
-            config.dims, bucketsPerShard, (i + 1u) << 24));
-    }
     if (pool_) {
         job_.body = &StreamSession::drainMain;
         job_.ctx = this;
@@ -106,14 +93,6 @@ StreamSession::~StreamSession()
         // Teardown without a streamEnd(): there is nobody left to
         // rethrow a final inline-drain fault to.
     }
-}
-
-unsigned
-StreamSession::shardOf(std::uint64_t hash) const
-{
-    // Top bits pick the shard; the table uses the low bits for its
-    // slot, so the two selections stay independent.
-    return static_cast<unsigned>((hash >> 48) % shards_.size());
 }
 
 void
@@ -329,25 +308,23 @@ StreamSession::enqueue(const detail::SealedBin &item)
 bool
 StreamSession::forceSealOne()
 {
-    const unsigned n = static_cast<unsigned>(shards_.size());
-    const unsigned start =
+    // Successive calls start one bin further on, so repeated force
+    // seals spread over the open bins instead of always taking the
+    // first.
+    const std::size_t bins = table_.binCount();
+    const std::size_t start =
         sealCursor_.fetch_add(1, std::memory_order_relaxed);
-    for (unsigned i = 0; i < n; ++i) {
-        const unsigned index = (start + i) % n;
-        ConcurrentBinTable &table = shards_[index]->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            StreamBin *bin = table.binAt(b);
-            if (!bin) // segment install still in flight
-                continue;
-            if (!bin->epochThreads.load(std::memory_order_relaxed))
-                continue;
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (!chain.head)
-                continue; // a racing sealer beat us to it
-            enqueue(makeItem(*bin, chain));
-            return true;
-        }
+    for (std::size_t i = 0; i < bins; ++i) {
+        StreamBin *bin = table_.binAt((start + i) % bins);
+        if (!bin) // segment install still in flight
+            continue;
+        if (!bin->epochThreads.load(std::memory_order_relaxed))
+            continue;
+        const SealedChain chain = sealStreamBin(*bin, groupPool_);
+        if (!chain.head)
+            continue; // a racing sealer beat us to it
+        enqueue(makeItem(*bin, chain));
+        return true;
     }
     return false;
 }
@@ -372,11 +349,9 @@ StreamSession::fork(ThreadFn fn, void *arg1, void *arg2,
             where = placement_.place(hints);
         }
 
-        const std::uint64_t h = hashCoords(where.coords, dims_);
-        Shard &shard = *shards_[shardOf(h)];
-
-        const auto [bin, fresh] =
-            shard.table.findOrCreate(where.coords, h, where.superBin);
+        const auto [bin, fresh] = table_.findOrCreate(
+            where.coords, hashCoords(where.coords, dims_),
+            where.superBin);
         created = fresh;
         binId = bin->id;
         const std::uint64_t epochCount =
@@ -564,21 +539,18 @@ void
 StreamSession::shedLoad()
 {
     std::uint64_t shedBins = 0;
-    for (unsigned i = 0; i < shards_.size(); ++i) {
-        ConcurrentBinTable &table = shards_[i]->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            StreamBin *bin = table.binAt(b);
-            if (!bin) // segment install still in flight
-                continue;
-            if (!bin->epochThreads.load(std::memory_order_relaxed))
-                continue;
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (!chain.head)
-                continue;
-            enqueue(makeItem(*bin, chain));
-            ++shedBins;
-        }
+    const std::size_t bins = table_.binCount();
+    for (std::size_t b = 0; b < bins; ++b) {
+        StreamBin *bin = table_.binAt(b);
+        if (!bin) // segment install still in flight
+            continue;
+        if (!bin->epochThreads.load(std::memory_order_relaxed))
+            continue;
+        const SealedChain chain = sealStreamBin(*bin, groupPool_);
+        if (!chain.head)
+            continue;
+        enqueue(makeItem(*bin, chain));
+        ++shedBins;
     }
     if (recovery_)
         recovery_->loadSheds.fetch_add(1, std::memory_order_relaxed);
@@ -603,17 +575,14 @@ StreamSession::finish()
 
     // Producers have stopped (the owner's contract): seal every open
     // chain so the tail of the stream drains like any other epoch.
-    for (unsigned i = 0; i < shards_.size(); ++i) {
-        ConcurrentBinTable &table = shards_[i]->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            StreamBin *bin = table.binAt(b);
-            if (!bin) // a failed carve left a permanent gap
-                continue;
-            const SealedChain chain = sealStreamBin(*bin, groupPool_);
-            if (chain.head)
-                enqueue(makeItem(*bin, chain));
-        }
+    const std::size_t bins = table_.binCount();
+    for (std::size_t b = 0; b < bins; ++b) {
+        StreamBin *bin = table_.binAt(b);
+        if (!bin) // a failed carve left a permanent gap
+            continue;
+        const SealedChain chain = sealStreamBin(*bin, groupPool_);
+        if (chain.head)
+            enqueue(makeItem(*bin, chain));
     }
 
     queue_.finish();
@@ -632,23 +601,19 @@ StreamSession::finish()
             drainOne(item, 0);
     }
 
-    for (const auto &shardPtr : shards_) {
-        const ConcurrentBinTable &table = shardPtr->table;
-        const std::size_t bins = table.binCount();
-        for (std::size_t b = 0; b < bins; ++b) {
-            const StreamBin *bin = table.binAt(b);
-            if (!bin)
-                continue;
-            const std::uint64_t threads =
-                bin->totalThreads.load(std::memory_order_relaxed);
-            if (!threads)
-                continue; // spare or never-forked bin
-            StreamBinReport r;
-            r.coords = bin->coords;
-            r.epochs = bin->epochs.load(std::memory_order_relaxed);
-            r.threads = threads;
-            bins_.push_back(r);
-        }
+    for (std::size_t b = 0; b < bins; ++b) {
+        const StreamBin *bin = table_.binAt(b);
+        if (!bin)
+            continue;
+        const std::uint64_t threads =
+            bin->totalThreads.load(std::memory_order_relaxed);
+        if (!threads)
+            continue; // spare or never-forked bin
+        StreamBinReport r;
+        r.coords = bin->coords;
+        r.epochs = bin->epochs.load(std::memory_order_relaxed);
+        r.threads = threads;
+        bins_.push_back(r);
     }
 }
 

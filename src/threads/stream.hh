@@ -11,14 +11,13 @@
  *
  * Structure (lock-free admission path — see DESIGN.md §16):
  *
- *  - Intake is *sharded*: forks hash their block coordinates once
- *    (hashCoords) — the top bits pick a shard, the rest the slot in
- *    that shard's ConcurrentBinTable. Shards no longer carry a mutex:
- *    lookup/insert is a CAS into the shard's open-addressing table,
- *    and sharding survives purely to split the id spaces and spread
- *    growth freezes. Group storage comes from ONE shared
- *    ConcurrentGroupPool whose fast path is a per-producer
- *    thread-local cache over a lock-free global refill.
+ *  - Intake is *one* ConcurrentBinTable holding the whole
+ *    hashBuckets budget: a fork hashes its block coordinates once
+ *    (hashCoords) and lookup/insert is a CAS into the open-addressing
+ *    table, with no lock. Stream bin ids start at kStreamIdBase,
+ *    disjoint from the batch table's 0-based ids. Group storage comes
+ *    from ONE shared ConcurrentGroupPool whose fast path is a
+ *    per-producer thread-local cache over a lock-free global refill.
  *
  *  - Bins gain *seal/epoch* semantics: a bin anchors its current
  *    epoch's thread groups in a single atomic tail pointer; producers
@@ -61,8 +60,8 @@
  *    before parking, so seals that arrive microseconds apart find a
  *    helper awake and pay no futex wake-up.
  *
- * Draining is the fourth execution mode next to Serial/Pooled/
- * ColdSpawn tours: there is no tour to partition — work arrives
+ * Draining is the third execution mode next to Serial and Pooled
+ * tours: there is no tour to partition — work arrives
  * incrementally — so the pool's helpers loop on the sealed queue
  * (WorkerPool::beginStream) and every chain still runs through THE
  * one executeBin() routine (bin_exec.hh), keeping ErrorPolicy
@@ -343,8 +342,9 @@ class SealedQueue
 class StreamSession
 {
   public:
-    /** Shards used when the config leaves streamShards at 0. */
-    static constexpr unsigned kDefaultShards = 8;
+    /** First stream bin id: keeps trace and fault ids of stream bins
+     *  apart from the batch table's 0-based ones. */
+    static constexpr std::uint32_t kStreamIdBase = 1u << 24;
 
     /**
      * @param config the owning scheduler's validated configuration.
@@ -414,24 +414,8 @@ class StreamSession
     }
 
   private:
-    /**
-     * One intake shard: its own concurrent table (disjoint id space),
-     * no lock. Padded so the tables' hot heads do not false-share.
-     */
-    struct alignas(64) Shard
-    {
-        ConcurrentBinTable table;
-
-        Shard(unsigned dims, std::size_t buckets,
-              std::uint32_t idBase)
-            : table(dims, buckets, idBase)
-        {
-        }
-    };
-
     static void drainMain(unsigned worker, void *ctx);
 
-    unsigned shardOf(std::uint64_t hash) const;
     /** Take a ticket and wait out the maxPending gate. */
     void admitThread();
     /** Slow path of the gate: help, back off, or time out. Returns
@@ -452,7 +436,7 @@ class StreamSession
     /** Trace + count + queue one sealed chain (drains inline when the
      *  ring is full, so a push can never deadlock). */
     void enqueue(const detail::SealedBin &item);
-    /** Seal the first non-empty open bin, rotating over shards. */
+    /** Seal the first non-empty open bin, rotating the start bin. */
     bool forceSealOne();
     /** Execute one sealed chain as @p worker and retire it. */
     void drainOne(const detail::SealedBin &item, unsigned worker);
@@ -483,11 +467,12 @@ class StreamSession
     /** Adaptive placement: the monitor ticks maybeRetune(). */
     const bool placementAdaptive_;
 
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /** Group storage, shared by every shard and drain worker. */
-    ConcurrentGroupPool groupPool_;
+    /** The intake table; padded off the lines its neighbours write. */
+    alignas(64) ConcurrentBinTable table_;
+    /** Group storage, shared by every producer and drain worker. */
+    alignas(64) ConcurrentGroupPool groupPool_;
     detail::SealedQueue queue_;
-    /** Rotation cursor for forceSealOne's shard scan. */
+    /** Start bin of forceSealOne's next scan. */
     std::atomic<unsigned> sealCursor_{0};
 
     std::vector<ThreadFault> faults_;

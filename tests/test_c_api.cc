@@ -221,8 +221,8 @@ TEST_F(CApiTest, SetPlacementAndBackendSelectAtRuntime)
 
     EXPECT_EQ(th_set_backend("serial"), 0);
     EXPECT_EQ(th_stats().backend, 0);
-    EXPECT_EQ(th_set_backend("coldspawn"), 0);
-    EXPECT_EQ(th_stats().backend, 2);
+    EXPECT_EQ(th_set_backend("pooled"), 0);
+    EXPECT_EQ(th_stats().backend, 1);
 
     th_clear_error();
     EXPECT_EQ(th_set_placement("bogus"), -1);
@@ -479,19 +479,19 @@ TEST_F(CApiTest, MetricEnumerationRoundTripsEveryName)
 
 TEST_F(CApiTest, LegacySettersAreConfigureShims)
 {
-    // th_set_backend("coldspawn") always dropped the persistent pool;
-    // the shim path must keep that coupling, observably through
-    // th_config_get.
-    ASSERT_EQ(th_set_backend("coldspawn"), 0);
+    // th_set_backend is a shim over the "backend" key: what it sets,
+    // th_config_get reads back, and th_configure's value shows up in
+    // th_stats.
+    ASSERT_EQ(th_set_backend("serial"), 0);
     char value[8];
-    ASSERT_GT(th_config_get("persistent_pool", value, sizeof(value)),
-              0);
-    EXPECT_STREQ(value, "0");
+    ASSERT_GT(th_config_get("backend", value, sizeof(value)), 0);
+    EXPECT_STREQ(value, "serial");
+    EXPECT_EQ(th_stats().backend, 0);
 
     ASSERT_EQ(th_configure("backend", "pooled"), 0);
-    ASSERT_GT(th_config_get("persistent_pool", value, sizeof(value)),
-              0);
-    EXPECT_STREQ(value, "1");
+    ASSERT_GT(th_config_get("backend", value, sizeof(value)), 0);
+    EXPECT_STREQ(value, "pooled");
+    EXPECT_EQ(th_stats().backend, 1);
 
     // And th_init is a shim over block_bytes/hash_buckets.
     th_init(8192, 64);
@@ -500,6 +500,45 @@ TEST_F(CApiTest, LegacySettersAreConfigureShims)
     ASSERT_GT(th_config_get("hash_buckets", value, sizeof(value)), 0);
     EXPECT_STREQ(value, "64");
     th_init(0, 0);
+}
+
+TEST_F(CApiTest, RemovedBackendAndKeysAreRejected)
+{
+    // The frozen v1 surface keeps a defined answer for what was
+    // removed: the spawn-per-tour backend and its two config keys.
+    for (const bool viaShim : {true, false}) {
+        th_clear_error();
+        EXPECT_EQ(viaShim ? th_set_backend("coldspawn")
+                          : th_configure("backend", "coldspawn"),
+                  -1);
+        ASSERT_NE(th_last_error(), nullptr);
+        EXPECT_NE(std::string(th_last_error()).find("serial|pooled"),
+                  std::string::npos)
+            << th_last_error();
+        EXPECT_EQ(th_stats().backend, 1) << "backend left untouched";
+    }
+
+    th_clear_error();
+    const int coldspawn = 2;
+    th_set_backend_(&coldspawn);
+    ASSERT_NE(th_last_error(), nullptr);
+    EXPECT_NE(std::string(th_last_error()).find("kind must be 0..1"),
+              std::string::npos)
+        << th_last_error();
+    EXPECT_EQ(th_stats().backend, 1);
+
+    for (const char *key : {"persistent_pool", "stream_shards"}) {
+        th_clear_error();
+        EXPECT_EQ(th_configure(key, "1"), -1) << key;
+        ASSERT_NE(th_last_error(), nullptr) << key;
+        EXPECT_NE(std::string(th_last_error()).find("unknown config key"),
+                  std::string::npos)
+            << th_last_error();
+        char value[8];
+        EXPECT_EQ(th_config_get(key, value, sizeof(value)), -1) << key;
+    }
+    th_clear_error();
+    EXPECT_EQ(th_config_keys(), 39);
 }
 
 std::atomic<std::uint64_t> g_streamRuns{0};

@@ -308,7 +308,7 @@ TEST(Chaos, EightProducerAdmissionStressConservesThreads)
     if (!fp::kCompiled)
         GTEST_SKIP() << "fail points compiled out";
     // Lock-free admission under fire: eight producers force the
-    // per-shard tables through concurrent growth cycles (minimum
+    // intake table through concurrent growth cycles (minimum
     // starting slots, thousands of distinct bins) while a periodic
     // injected fault throws at bin tops and a tight ticket bound
     // keeps producers cycling through the backoff slow path. The
@@ -322,7 +322,6 @@ TEST(Chaos, EightProducerAdmissionStressConservesThreads)
     c.blockBytes = 1 << 14;
     c.groupCapacity = 4;
     c.hashBuckets = 16;
-    c.streamShards = 2;
     c.streamMaxPending = 32;
     c.streamSealThreshold = 4;
     c.onError = ErrorPolicy::ContinueAndCollect;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the execution layer (threads/execution.hh): the three
- * backends run the same fork set exactly once with identical per-bin
- * membership, cold-spawn pays threads per tour where pooled does not,
- * and fault containment behaves identically on every backend (all of
- * them route through the one executeBin()).
+ * Tests for the execution backends (threads/execution.hh): serial
+ * and pooled run the same fork set exactly once with identical
+ * per-bin membership, the pool spawns its helpers once across tours,
+ * and fault containment behaves identically on both (each routes
+ * through the one executeBin()).
  *
  * Lives in the pool test binary: everything here must stay clean under
  * LSCHED_SANITIZE=thread, so no death tests.
@@ -92,8 +92,7 @@ TEST(ExecutionBackends, SameForkSetSameBinsOnEveryBackend)
     // runs or which threads share a bin.
     std::map<std::uint32_t, std::uint32_t> reference; // tag -> binTag
     for (const BackendKind backend :
-         {BackendKind::Serial, BackendKind::Pooled,
-          BackendKind::ColdSpawn}) {
+         {BackendKind::Serial, BackendKind::Pooled}) {
         LocalityScheduler s(backendCfg(backend));
         ForkLog log(kForks);
         std::vector<TaggedArg> args;
@@ -115,22 +114,19 @@ TEST(ExecutionBackends, SameForkSetSameBinsOnEveryBackend)
     }
 }
 
-TEST(ExecutionBackends, ColdSpawnPaysThreadsPerTourPooledDoesNot)
+TEST(ExecutionBackends, PooledSpawnsHelpersOnceAcrossTours)
 {
-    const auto spawnsAfterThreeTours = [](BackendKind backend) {
-        LocalityScheduler s(backendCfg(backend));
-        for (int tour = 0; tour < 3; ++tour) {
-            ForkLog log(kForks);
-            std::vector<TaggedArg> args;
-            forkWorkload(s, log, args);
-            s.runParallel(4);
-        }
-        EXPECT_EQ(s.workerPoolStats().tours, 3u)
-            << backendName(backend);
-        return s.workerPoolStats().threadsSpawned;
-    };
-    EXPECT_EQ(spawnsAfterThreeTours(BackendKind::Pooled), 3u);
-    EXPECT_EQ(spawnsAfterThreeTours(BackendKind::ColdSpawn), 9u);
+    // Three 4-worker tours on one scheduler: the first spawns the
+    // three helpers, the later two reuse them parked.
+    LocalityScheduler s(backendCfg(BackendKind::Pooled));
+    for (int tour = 0; tour < 3; ++tour) {
+        ForkLog log(kForks);
+        std::vector<TaggedArg> args;
+        forkWorkload(s, log, args);
+        s.runParallel(4);
+    }
+    EXPECT_EQ(s.workerPoolStats().tours, 3u);
+    EXPECT_EQ(s.workerPoolStats().threadsSpawned, 3u);
 }
 
 TEST(ExecutionBackends, SerialBackendIgnoresWorkerCount)
@@ -151,8 +147,7 @@ TEST(ExecutionBackends, StopTourContainsTheFaultOnEveryBackend)
     if (!fp::kCompiled)
         GTEST_SKIP() << "fail points compiled out";
     for (const BackendKind backend :
-         {BackendKind::Serial, BackendKind::Pooled,
-          BackendKind::ColdSpawn}) {
+         {BackendKind::Serial, BackendKind::Pooled}) {
         SchedulerConfig c = backendCfg(backend);
         c.onError = ErrorPolicy::StopTour;
         LocalityScheduler s(c);
@@ -180,8 +175,7 @@ TEST(ExecutionBackends, ContinueAndCollectRunsTheRestOnEveryBackend)
     if (!fp::kCompiled)
         GTEST_SKIP() << "fail points compiled out";
     for (const BackendKind backend :
-         {BackendKind::Serial, BackendKind::Pooled,
-          BackendKind::ColdSpawn}) {
+         {BackendKind::Serial, BackendKind::Pooled}) {
         SchedulerConfig c = backendCfg(backend);
         c.onError = ErrorPolicy::ContinueAndCollect;
         LocalityScheduler s(c);
@@ -207,14 +201,13 @@ TEST(ExecutionBackends, DeadlineCancelsAWedgedTourOnEveryBackend)
     if (!fp::kCompiled)
         GTEST_SKIP() << "fail points compiled out";
     // Abort and StopTour surface an expired deadline as DeadlineError;
-    // the scheduler is clean and reusable afterwards — on all three
-    // backends, since every one routes through the same executeBin()
+    // the scheduler is clean and reusable afterwards — on both
+    // backends, since each routes through the same executeBin()
     // cancellation boundary.
     for (const ErrorPolicy policy :
          {ErrorPolicy::Abort, ErrorPolicy::StopTour}) {
         for (const BackendKind backend :
-             {BackendKind::Serial, BackendKind::Pooled,
-              BackendKind::ColdSpawn}) {
+             {BackendKind::Serial, BackendKind::Pooled}) {
             SchedulerConfig c = backendCfg(backend);
             c.onError = policy;
             c.deadlineMillis = 50;
@@ -256,8 +249,7 @@ TEST(ExecutionBackends, DeadlineUnderContinueAndCollectIsRecorded)
     // dropped threads are accounted as per-bin cancellation faults and
     // executed + faults covers every fork exactly once.
     for (const BackendKind backend :
-         {BackendKind::Serial, BackendKind::Pooled,
-          BackendKind::ColdSpawn}) {
+         {BackendKind::Serial, BackendKind::Pooled}) {
         SchedulerConfig c = backendCfg(backend);
         c.onError = ErrorPolicy::ContinueAndCollect;
         c.deadlineMillis = 50;
@@ -370,10 +362,10 @@ TEST(ExecutionBackends, GovernorDegradesToSerialAndRecovers)
 
 TEST(ExecutionBackends, ReconfigureKeepsSpawnCountersMonotone)
 {
-    // Satellite regression: workerPoolStats() must accumulate across
+    // Regression: workerPoolStats() must accumulate across
     // configure() — the retired pool's spawns/steals/parks fold into
-    // the running totals instead of resetting, whichever backend
-    // retires them.
+    // the running totals instead of resetting, whatever pool config
+    // replaces it.
     LocalityScheduler s(backendCfg(BackendKind::Pooled));
     std::uint64_t lastSpawned = 0;
     for (int round = 0; round < 3; ++round) {
@@ -388,8 +380,8 @@ TEST(ExecutionBackends, ReconfigureKeepsSpawnCountersMonotone)
             << "round " << round;
         lastSpawned = stats.threadsSpawned;
 
-        SchedulerConfig next = backendCfg(
-            round % 2 ? BackendKind::Pooled : BackendKind::ColdSpawn);
+        SchedulerConfig next = backendCfg(BackendKind::Pooled);
+        next.pinWorkers = round % 2 == 0;
         s.configure(next); // retires the pool, stats must survive
         EXPECT_EQ(s.workerPoolStats().threadsSpawned, lastSpawned)
             << "round " << round << ": configure() dropped stats";

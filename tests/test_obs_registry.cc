@@ -128,8 +128,9 @@ TEST(ObsRegistry, CountsAreExactUnderRunParallel)
     EXPECT_EQ(sched.runParallel(4, false), kThreads);
 
     EXPECT_EQ(hits.value(), kThreads);
-    if (obs::kTraceCompiled)
+    if (obs::kTraceCompiled) {
         EXPECT_EQ(executed.value() - executed_before, kThreads);
+    }
     obs::setMetricsEnabled(false);
 }
 

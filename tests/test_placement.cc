@@ -41,15 +41,19 @@ TEST(PlacementNames, RoundTripAndRejectUnknown)
 TEST(BackendNames, RoundTripAndRejectUnknown)
 {
     for (const BackendKind kind :
-         {BackendKind::Serial, BackendKind::Pooled,
-          BackendKind::ColdSpawn}) {
-        BackendKind parsed = BackendKind::Serial;
+         {BackendKind::Serial, BackendKind::Pooled}) {
+        BackendKind parsed = kind == BackendKind::Serial
+                                 ? BackendKind::Pooled
+                                 : BackendKind::Serial;
         EXPECT_TRUE(tryBackendFromName(backendName(kind), &parsed));
         EXPECT_EQ(parsed, kind);
     }
-    BackendKind out = BackendKind::ColdSpawn;
-    EXPECT_FALSE(tryBackendFromName("openmp", &out));
-    EXPECT_EQ(out, BackendKind::ColdSpawn);
+    // The removed spawn-per-tour backend is an unknown name now.
+    for (const char *name : {"openmp", "coldspawn"}) {
+        BackendKind out = BackendKind::Pooled;
+        EXPECT_FALSE(tryBackendFromName(name, &out)) << name;
+        EXPECT_EQ(out, BackendKind::Pooled) << name;
+    }
 }
 
 TEST(BlockHashPlacement, SameBlockSameBinAndSymmetricFold)

@@ -117,7 +117,7 @@ TEST(Stream, ConcurrentForkStressMatchesBatch)
 TEST(Stream, EightProducerAdmissionStress)
 {
     // Tentpole stress for the lock-free admission path: eight
-    // producers hammer two shards whose tables start at the minimum
+    // producers hammer one intake table that starts at the minimum
     // slot count (so concurrent freeze-growth cycles are forced), a
     // tight maxPending saturates the ticket gate, and a small seal
     // threshold keeps groups recycling through the shared pool.
@@ -128,7 +128,6 @@ TEST(Stream, EightProducerAdmissionStress)
 
     SchedulerConfig c = cfg();
     c.hashBuckets = 16;
-    c.streamShards = 2;
     c.streamMaxPending = kBound;
     c.streamSealThreshold = 4;
     c.groupCapacity = 4;
@@ -254,7 +253,6 @@ TEST(Stream, SerialBackendDrainsInline)
 {
     SchedulerConfig c = cfg();
     c.backend = BackendKind::Serial;
-    c.persistentPool = false;
     c.streamSealThreshold = 8;
     LocalityScheduler s(c);
     std::atomic<std::uint64_t> ran{0};
@@ -380,7 +378,7 @@ TEST(Stream, TableGrowthAllocationFailureUnwindsInsteadOfWedging)
     // leave the table live (slots thawed, grower flag released) — not
     // leave every later probe spinning on frozen sentinels.
     //
-    // Deterministic site arithmetic (one producer, one shard, 16
+    // Deterministic site arithmetic (one producer, one table of 16
     // slots): bin creations 1..12 each evaluate the probe-path
     // "bintable.grow" site once, and the 12th publish crosses 3/4
     // load, so the growth-path evaluation is hit 13.
@@ -388,7 +386,6 @@ TEST(Stream, TableGrowthAllocationFailureUnwindsInsteadOfWedging)
     constexpr unsigned kTotal = 40;
     SchedulerConfig c = cfg();
     c.hashBuckets = 16;
-    c.streamShards = 1;
     c.streamMaxPending = 0;
     LocalityScheduler s(c);
     Flags flags(kTotal);

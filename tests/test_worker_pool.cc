@@ -149,24 +149,6 @@ TEST(WorkerPool, RepeatedToursSpawnNoNewThreads)
     s.runParallel(kWorkers, /*keep=*/false);
 }
 
-TEST(WorkerPool, ColdSpawnPaysThreadsPerTour)
-{
-    // persistentPool=false restores the historic behavior: a fresh
-    // set of helpers per tour, visible in the spawn counter.
-    SchedulerConfig c = cfg();
-    c.persistentPool = false;
-    LocalityScheduler s(c);
-    constexpr unsigned kWorkers = 4;
-    BinCounters counters(8);
-
-    for (int tour = 0; tour < 3; ++tour) {
-        forkSkewed(s, counters, 8);
-        s.runParallel(kWorkers);
-    }
-    EXPECT_EQ(s.workerPoolStats().threadsSpawned, 3 * (kWorkers - 1));
-    EXPECT_EQ(s.workerPoolStats().tours, 3u);
-}
-
 TEST(WorkerPool, ReconfigureRetiresThePoolButKeepsItsStats)
 {
     LocalityScheduler s(cfg());
